@@ -145,25 +145,24 @@ void BM_PipelineJudgeBatch(benchmark::State& state) {
       toolchain::CompilerDriver(toolchain::nvc_persona()),
       toolchain::Executor(), judge, config);
   double gpu_seconds = 0.0;
-  std::uint64_t batches = 0;
-  std::uint64_t batched_prompts = 0;
+  double occupancy_sum = 0.0;
+  std::uint64_t formed_batches = 0;
   for (auto _ : state) {
     const auto result = pipe.run(files);
     gpu_seconds += result.judge_gpu_seconds;
-    batches += result.judge_batches;
-    batched_prompts += result.judge_batched_prompts;
+    occupancy_sum += result.judge_batch_occupancy;
+    formed_batches += result.judge_formed_batches;
     benchmark::DoNotOptimize(result.records.data());
   }
+  const auto runs = static_cast<double>(state.iterations());
   state.SetItemsProcessed(
       static_cast<std::int64_t>(state.iterations() * files.size()));
-  state.counters["sim_gpu_s_per_run"] =
-      gpu_seconds / static_cast<double>(state.iterations());
-  state.counters["judge_batches_per_run"] =
-      static_cast<double>(batches) / static_cast<double>(state.iterations());
-  state.counters["judge_batch_occupancy"] =
-      batches == 0 ? 0.0
-                   : static_cast<double>(batched_prompts) /
-                         static_cast<double>(batches);
+  state.counters["sim_gpu_s_per_run"] = gpu_seconds / runs;
+  /// Forward passes the batcher formed per run, and their mean prompts per
+  /// batched pass (0 when nothing was batched).
+  state.counters["formed_batches_per_run"] =
+      static_cast<double>(formed_batches) / runs;
+  state.counters["judge_batch_occupancy"] = occupancy_sum / runs;
 }
 BENCHMARK(BM_PipelineJudgeBatch)
     ->Arg(1)

@@ -58,6 +58,22 @@ run_bench() {
     --benchmark_out_format=json
 }
 
+# Every gate is evaluated, pass or fail: a failing gate prints its reason
+# and is collected, and the script exits non-zero after the last one, so a
+# single run shows the whole picture.
+failures=()
+# gate <failure message> <pass message> <json file> <jq args...>
+gate() {
+  local fail_message="$1" pass_message="$2" file="$3"
+  shift 3
+  if jq -e "$@" "${file}" > /dev/null; then
+    echo "${pass_message}"
+    return 0
+  fi
+  echo "error: ${fail_message} - see $(basename "${file}")" >&2
+  failures+=("${fail_message}")
+}
+
 run_bench perf_tokenizer "${script_dir}/BENCH_tokenizer.json"
 run_bench perf_pipeline "${script_dir}/BENCH_pipeline.json"
 run_bench perf_batcher "${script_dir}/BENCH_batcher.json"
@@ -106,57 +122,49 @@ if command -v jq >/dev/null 2>&1; then
       "wall \(.real_time * 100 | floor / 100) ms"
   ' "${script_dir}/BENCH_pipeline.json"
 
-  # Guard against batched-path bitrot: the sweep must actually have filled
-  # batches (occupancy > 1 with nonzero submissions for judge_batch >= 4)
-  # and the amortized passes must price below the sequential baseline.
-  jq -e '
+  # Guard against batched-path bitrot: the sweep must actually have formed
+  # batches (formed passes > 0 and batched-pass occupancy > 1 for
+  # judge_batch >= 4) and the amortized passes must price below the
+  # sequential baseline.
+  gate "batched judge path not exercised (batch stats zero or no GPU saving)" \
+    "batched judge path OK (occupancy > 1, sim GPU below sequential)" \
+    "${script_dir}/BENCH_pipeline.json" '
     ([.benchmarks[] | select(.name == "BM_PipelineJudgeBatch/judge_batch:1")]
         [0].sim_gpu_s_per_run) as $seq |
     [.benchmarks[]
      | select(.name | startswith("BM_PipelineJudgeBatch"))
      | select(.name != "BM_PipelineJudgeBatch/judge_batch:1")]
     | length > 0 and
-      all(.[]; .judge_batches_per_run > 0 and .judge_batch_occupancy > 1
+      all(.[]; .formed_batches_per_run > 0 and .judge_batch_occupancy > 1
                and .sim_gpu_s_per_run < $seq)
-  ' "${script_dir}/BENCH_pipeline.json" > /dev/null || {
-    echo "error: batched judge path not exercised (batch stats zero or no" \
-         "GPU saving) - see BENCH_pipeline.json" >&2
-    exit 1
-  }
-  echo "batched judge path OK (occupancy > 1, sim GPU below sequential)"
+  '
 
   jq -r '
     .benchmarks[]
     | select(.name | startswith("BM_PipelineAdaptiveBatch"))
-    | "\(.name): formed_occupancy \(.formed_occupancy * 100 | floor / 100)" +
-      " (chunk \(.chunk_occupancy * 100 | floor / 100)), " +
+    | "\(.name): formed_occupancy \(.formed_occupancy * 100 | floor / 100), " +
       "sim_gpu \(.sim_gpu_s_per_run * 100 | floor / 100) s/run, " +
       "wall \(.real_time * 100 | floor / 100) ms"
   ' "${script_dir}/BENCH_batcher.json"
 
   # Cross-worker batch-formation guard: with several judge workers and
   # per-item arrivals, the T=200 us wait window must form strictly fuller
-  # forward passes than both the T=0 formed baseline and the static
-  # per-worker popped-chunk occupancy at the same load — and the fuller
-  # passes must not cost more simulated GPU time. If this fails, the
-  # adaptive batcher silently stopped coalescing across workers.
-  jq -e '
+  # forward passes than the T=0 baseline — where every submission group
+  # flushes alone, so its formed occupancy is the static per-worker group
+  # occupancy — and the fuller passes must not cost more simulated GPU
+  # time. If this fails, the adaptive batcher silently stopped coalescing
+  # across workers.
+  gate "adaptive batcher not forming cross-worker batches at T=200us (occupancy <= static baseline, or sim GPU regressed)" \
+    "adaptive batcher OK (T=200us occupancy beats static baseline, sim GPU no worse)" \
+    "${script_dir}/BENCH_batcher.json" '
     ([.benchmarks[]
       | select(.name == "BM_PipelineAdaptiveBatch/window_us:0")][0]) as $t0 |
     ([.benchmarks[]
       | select(.name == "BM_PipelineAdaptiveBatch/window_us:200")][0]) as $t |
     $t.formed_batches_per_run > 0
       and $t.formed_occupancy > $t0.formed_occupancy
-      and $t.formed_occupancy > $t0.chunk_occupancy
       and $t.sim_gpu_s_per_run <= $t0.sim_gpu_s_per_run * 1.001
-  ' "${script_dir}/BENCH_batcher.json" > /dev/null || {
-    echo "error: adaptive batcher not forming cross-worker batches at" \
-         "T=200us (occupancy <= static baseline, or sim GPU regressed)" \
-         "- see BENCH_batcher.json" >&2
-    exit 1
-  }
-  echo "adaptive batcher OK (T=200us occupancy beats static baseline," \
-       "sim GPU no worse)"
+  '
 
   jq -r '
     [.benchmarks[] | select(.name == "BM_PipelineWarmStart")][0]
@@ -171,17 +179,14 @@ if command -v jq >/dev/null 2>&1; then
   # saved: a zero cross-run persisted hit rate means cross-process
   # persistence is broken. Also enforce the warm-start acceptance bar
   # (persisted hit rate >= 95%, warm sim GPU <= 10% of cold).
-  jq -e '
+  gate "warm start not persistent (cross-run rate 0, hit rate < 95%, or warm sim GPU > 10% of cold)" \
+    "persistent warm start OK (cross-run hits > 0, warm GPU <= 10% cold)" \
+    "${script_dir}/BENCH_cache.json" '
     [.benchmarks[] | select(.name == "BM_PipelineWarmStart")][0]
     | .cross_run_persisted_hit_rate > 0
       and .persisted_hit_rate >= 0.95
       and .warm_gpu_over_cold <= 0.10
-  ' "${script_dir}/BENCH_cache.json" > /dev/null || {
-    echo "error: warm start not persistent (cross-run rate 0, hit rate" \
-         "< 95%, or warm sim GPU > 10% of cold) - see BENCH_cache.json" >&2
-    exit 1
-  }
-  echo "persistent warm start OK (cross-run hits > 0, warm GPU <= 10% cold)"
+  '
 
   jq -r '
     .benchmarks[]
@@ -200,7 +205,10 @@ if command -v jq >/dev/null 2>&1; then
   dispatch_bar="1.5"
   goto_bar="1.0"
   if [[ -n "${min_time}" ]]; then dispatch_bar="1.3"; goto_bar="0.9"; fi
-  jq -e --argjson bar "${dispatch_bar}" --argjson gbar "${goto_bar}" '
+  gate "VM dispatch regressed (table core < ${dispatch_bar}x reference, or computed-goto core < ${goto_bar}x reference)" \
+    "vm dispatch OK (table core >= ${dispatch_bar}x reference)" \
+    "${script_dir}/BENCH_vm.json" \
+    --argjson bar "${dispatch_bar}" --argjson gbar "${goto_bar}" '
     ([.benchmarks[]
       | select(.name == "BM_ExecuteDispatch/dispatch:0/fused:0")][0]
         ["steps/s"]) as $ref |
@@ -211,13 +219,7 @@ if command -v jq >/dev/null 2>&1; then
       | select(.name == "BM_ExecuteDispatch/dispatch:2/fused:0")][0]
         ["steps/s"]) as $goto |
     $table >= $ref * $bar and $goto > $ref * $gbar
-  ' "${script_dir}/BENCH_vm.json" > /dev/null || {
-    echo "error: VM dispatch regressed (table core < ${dispatch_bar}x" \
-         "reference, or computed-goto core < ${goto_bar}x reference) - see" \
-         "BENCH_vm.json" >&2
-    exit 1
-  }
-  echo "vm dispatch OK (table core >= ${dispatch_bar}x reference)"
+  '
 
   # Superinstruction-fusion gate, tiered like the queue-sharding gate
   # below: on a host with real parallelism headroom (>= 4 CPUs) and a full
@@ -238,7 +240,9 @@ if command -v jq >/dev/null 2>&1; then
     fusion_filter='$fused >= $table / 1.5'
     fusion_desc="fusion overhead bounded on ${cpus}-CPU host (timer too noisy for a strict win)"
   fi
-  jq -e '
+  gate "superinstruction fusion gate failed (${fusion_desc}, or fused run engaged zero fusion sites)" \
+    "vm fusion OK (${fusion_desc})" \
+    "${script_dir}/BENCH_vm.json" '
     ([.benchmarks[]
       | select(.name == "BM_ExecuteDispatch/dispatch:1/fused:0")][0]
         ["steps/s"]) as $table |
@@ -246,12 +250,7 @@ if command -v jq >/dev/null 2>&1; then
       | select(.name == "BM_ExecuteDispatch/dispatch:1/fused:1")][0]) as $f |
     $f["steps/s"] as $fused |
     $f.fused_sites > 0 and '"${fusion_filter}"'
-  ' "${script_dir}/BENCH_vm.json" > /dev/null || {
-    echo "error: superinstruction fusion gate failed (${fusion_desc}," \
-         "or fused run engaged zero fusion sites) - see BENCH_vm.json" >&2
-    exit 1
-  }
-  echo "vm fusion OK (${fusion_desc})"
+  '
 
   jq -r '
     .benchmarks[]
@@ -278,7 +277,9 @@ if command -v jq >/dev/null 2>&1; then
     shard_filter='$s.real_time <= $m.real_time * 1.5'
     shard_desc="sharded overhead bounded on ${cpus}-CPU host (no parallelism to win)"
   fi
-  jq -e '
+  gate "sharded execute-queue gate failed (${shard_desc})" \
+    "execute-queue sharding OK (${shard_desc})" \
+    "${script_dir}/BENCH_vm.json" '
     ([.benchmarks[]
       | select(.name ==
           "BM_PipelineExecuteScale/workers:4/shards:1/real_time")][0]) as $m |
@@ -286,12 +287,7 @@ if command -v jq >/dev/null 2>&1; then
       | select(.name ==
           "BM_PipelineExecuteScale/workers:4/shards:0/real_time")][0]) as $s |
     $s.queue_steals_per_run >= 0 and '"${shard_filter}"'
-  ' "${script_dir}/BENCH_vm.json" > /dev/null || {
-    echo "error: sharded execute-queue gate failed (${shard_desc}) - see" \
-         "BENCH_vm.json" >&2
-    exit 1
-  }
-  echo "execute-queue sharding OK (${shard_desc})"
+  '
 
   jq -r '
     .benchmarks[]
@@ -316,7 +312,9 @@ if command -v jq >/dev/null 2>&1; then
   # faulted passes. The p99 added latency must be a real, finite price
   # (> 0: faults genuinely injected; the bound is generous because backoff
   # waits are real wall time on a loaded CI host).
-  jq -e '
+  gate "resilience gate failed (20% faults with retries must recover >= 95% of files and beat retries-off)" \
+    "resilience OK (20% faults + retries >= 95% success, beats retries-off)" \
+    "${script_dir}/BENCH_faults.json" '
     ([.benchmarks[]
       | select(.name == "BM_PipelineFaults/fault_pct:20/retries:1")][0])
       as $r20 |
@@ -333,22 +331,13 @@ if command -v jq >/dev/null 2>&1; then
       and $r20.success_rate > $n20.success_rate
       and $r5.success_rate > $n5.success_rate
       and $r20.judge_retries_per_run > 0
-  ' "${script_dir}/BENCH_faults.json" > /dev/null || {
-    echo "error: resilience gate failed (20% faults with retries must" \
-         "recover >= 95% of files and beat retries-off) - see" \
-         "BENCH_faults.json" >&2
-    exit 1
-  }
-  jq -e '
+  '
+  gate "added-latency probe saw no faults (p99 added latency 0)" \
+    "added-latency probe OK (p99 added latency nonzero)" \
+    "${script_dir}/BENCH_faults.json" '
     [.benchmarks[] | select(.name | startswith("BM_ClientAddedLatency"))]
     | length > 0 and all(.[]; .p99_added_latency_us > 0)
-  ' "${script_dir}/BENCH_faults.json" > /dev/null || {
-    echo "error: added-latency probe saw no faults (p99 added latency 0)" \
-         "- see BENCH_faults.json" >&2
-    exit 1
-  }
-  echo "resilience OK (20% faults + retries >= 95% success, beats" \
-       "retries-off; p99 added latency nonzero)"
+  '
 
   jq -r '
     .benchmarks[]
@@ -385,7 +374,9 @@ if command -v jq >/dev/null 2>&1; then
   # perturb the computation (cold sim-GPU seconds equal across modes to
   # within float summation-order jitter), and the traced run must
   # actually produce spans + a metrics snapshot.
-  jq -e '
+  gate "observability gate failed (detached counter inc not well under an attached one, registry-attached wall > 1.5x detached, obs attachment changed sim-GPU accounting, or traced run produced no spans/metrics)" \
+    "observability OK (disabled path stays a branch, sim-GPU identical across modes, traced run produced spans + metrics)" \
+    "${script_dir}/BENCH_obs.json" '
     ([.benchmarks[]
       | select(.name == "BM_PipelineTraced/obs:0")][0]) as $off |
     ([.benchmarks[]
@@ -403,15 +394,7 @@ if command -v jq >/dev/null 2>&1; then
       and near($traced.sim_gpu_s_cold; $off.sim_gpu_s_cold)
       and $traced.spans_per_run > 0
       and $traced.metric_samples > 0
-  ' "${script_dir}/BENCH_obs.json" > /dev/null || {
-    echo "error: observability gate failed (detached counter inc not well" \
-         "under an attached one, registry-attached wall > 1.5x detached," \
-         "obs attachment changed sim-GPU accounting, or traced run" \
-         "produced no spans/metrics) - see BENCH_obs.json" >&2
-    exit 1
-  }
-  echo "observability OK (disabled path stays a branch, sim-GPU identical" \
-       "across modes, traced run produced spans + metrics)"
+  '
 
   jq -r '
     .benchmarks[]
@@ -427,7 +410,9 @@ if command -v jq >/dev/null 2>&1; then
   # worker, the weighted fair scheduler must keep the spread loose-bounded
   # (max/min completions < 2.5) and starve nobody -- if a tenant ever
   # reads zero completions the WRR cursor or the per-tenant queues broke.
-  jq -e '
+  gate "serving closed-loop gate failed (lost verdicts, zero throughput, or empty latency tail)" \
+    "serving closed loop OK (every job came back, nonzero throughput and tail)" \
+    "${script_dir}/BENCH_serve.json" '
     ([.benchmarks[]
       | select(.name == "BM_ServeClosedLoop/clients:1/real_time")][0])
       as $c1 |
@@ -441,21 +426,20 @@ if command -v jq >/dev/null 2>&1; then
       and $c4.completed_per_run == 24
       and ($c1.jobs_per_s > 0 and $c2.jobs_per_s > 0 and $c4.jobs_per_s > 0)
       and ($c1.p99_latency_us > 0 and $c4.p99_latency_us > 0)
-  ' "${script_dir}/BENCH_serve.json" > /dev/null || {
-    echo "error: serving closed-loop gate failed (lost verdicts, zero" \
-         "throughput, or empty latency tail) - see BENCH_serve.json" >&2
-    exit 1
-  }
-  jq -e '
+  '
+  gate "serving fairness gate failed (a tenant starved or the completion spread exceeded 2.5x)" \
+    "serving fairness OK (3-tenant spread < 2.5x, nobody starved)" \
+    "${script_dir}/BENCH_serve.json" '
     ([.benchmarks[]
       | select(.name == "BM_ServeFairness/tenants:3/real_time")][0]) as $f |
     $f.tenant_min_completed > 0
       and $f.fairness_ratio > 0 and $f.fairness_ratio < 2.5
-  ' "${script_dir}/BENCH_serve.json" > /dev/null || {
-    echo "error: serving fairness gate failed (a tenant starved or the" \
-         "completion spread exceeded 2.5x) - see BENCH_serve.json" >&2
-    exit 1
-  }
-  echo "serving OK (closed loop loses nothing, 3-tenant spread < 2.5x," \
-       "nobody starved)"
+  '
+fi
+
+if (( ${#failures[@]} > 0 )); then
+  echo >&2
+  echo "${#failures[@]} gate(s) failed:" >&2
+  printf '  - %s\n' "${failures[@]}" >&2
+  exit 1
 fi

@@ -628,19 +628,29 @@ JudgeDecision Llmj::evaluate(const frontend::SourceFile& file,
 
 std::vector<JudgeDecision> Llmj::evaluate_many(
     const std::vector<JudgeRequest>& batch, std::uint64_t seed) const {
-  const auto futures = evaluate_async_many(batch, seed);
   std::vector<JudgeDecision> decisions(batch.size());
-  // Drain discipline: resolve everything this batch owns first, then the
-  // duplicates of other callers' in-flight work — two batches holding
-  // duplicates of each other's claims publish before they wait, so they
-  // can never deadlock.
-  for (std::size_t i = 0; i < futures.size(); ++i) {
-    if (!futures[i].waits_on_peer()) decisions[i] = futures[i].get();
-  }
-  for (std::size_t i = 0; i < futures.size(); ++i) {
-    if (futures[i].waits_on_peer()) decisions[i] = futures[i].get();
-  }
+  drain(evaluate_async_many(batch, seed),
+        [&](std::size_t i, JudgeOutcome& outcome) {
+          if (outcome.error != nullptr) std::rethrow_exception(outcome.error);
+          decisions[i] = std::move(outcome.decision);
+        });
   return decisions;
+}
+
+void drain(const std::vector<JudgeFuture>& futures,
+           const std::function<void(std::size_t, JudgeOutcome&)>& on_resolved) {
+  for (const bool peer_pass : {false, true}) {
+    for (std::size_t i = 0; i < futures.size(); ++i) {
+      if (futures[i].waits_on_peer() != peer_pass) continue;
+      JudgeOutcome outcome;
+      try {
+        outcome.decision = futures[i].get();
+      } catch (...) {
+        outcome.error = std::current_exception();
+      }
+      on_resolved(i, outcome);
+    }
+  }
 }
 
 JudgeCacheStats Llmj::cache_stats() const noexcept {

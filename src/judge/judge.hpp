@@ -3,6 +3,8 @@
 #include <atomic>
 #include <cstdint>
 #include <deque>
+#include <exception>
+#include <functional>
 #include <memory>
 #include <unordered_map>
 #include <unordered_set>
@@ -29,8 +31,7 @@ struct JudgeDecision {
   bool cached = false;
   /// True when this decision's model call rode the batch submission API
   /// (an evaluate_many / evaluate_async_many miss). False for sequential
-  /// calls and for copies served from the cache or in-flight dedup — the
-  /// pipeline's chunk accounting counts exactly the batched submissions.
+  /// calls and for copies served from the cache or in-flight dedup.
   bool batched = false;
   /// True when the serving cache entry was warm-loaded from a persistent
   /// artifact store: a previous process run paid for the model call.
@@ -125,9 +126,9 @@ class JudgeFuture {
   bool ready() const;
   /// True when this future waits on a computation owned by another caller
   /// (a duplicate of in-flight work). Drain such futures AFTER every
-  /// future you own — the blocking wrappers and the pipeline do — so two
-  /// batches holding duplicates of each other's claimed keys resolve the
-  /// owned work first instead of deadlocking.
+  /// future you own — drain() below does — so two batches holding
+  /// duplicates of each other's claimed keys resolve the owned work first
+  /// instead of deadlocking.
   bool waits_on_peer() const;
   /// Block until resolved and return the decision. Rethrows whatever the
   /// underlying submission failed with. Idempotent and thread-safe.
@@ -141,6 +142,21 @@ class JudgeFuture {
       : state_(std::move(state)) {}
   std::shared_ptr<State> state_;
 };
+
+/// One drained JudgeFuture: the decision, or why the judge gave up on it.
+struct JudgeOutcome {
+  JudgeDecision decision;
+  std::exception_ptr error;  ///< non-null when get() threw
+};
+
+/// The drain rule, the one place it is written: resolve every future this
+/// caller owns first, then the ones waiting on another caller's in-flight
+/// work. Owners publish before anyone waits, so two batches holding
+/// duplicates of each other's claimed keys can never deadlock.
+/// `on_resolved(i, outcome)` runs as futures[i] resolves, in drain order;
+/// a failed get() is reported as outcome.error, never thrown from here.
+void drain(const std::vector<JudgeFuture>& futures,
+           const std::function<void(std::size_t, JudgeOutcome&)>& on_resolved);
 
 /// The LLM-as-a-Judge orchestrator. One instance per prompt style:
 ///  - kDirectAnalysis  -> the paper's Part One non-agent judge
@@ -190,7 +206,7 @@ class Llmj {
   /// genuine misses — which are handed to the client as one submit_many
   /// group, so the adaptive batcher can coalesce them with other callers'
   /// misses into shared forward passes. Futures come back in request
-  /// order. Drain discipline: get() the non-waits_on_peer() futures first.
+  /// order. Resolve them with drain(), which applies the drain rule.
   std::vector<JudgeFuture> evaluate_async_many(
       const std::vector<JudgeRequest>& batch, std::uint64_t seed = 0) const;
 

@@ -31,9 +31,6 @@ struct JudgeLocal {
   double gpu_seconds = 0.0;
   std::uint64_t cache_hits = 0;
   std::uint64_t cache_misses = 0;
-  std::uint64_t batches = 0;
-  std::uint64_t batched_prompts = 0;
-  std::uint64_t max_batch = 0;
   std::uint64_t persisted_hits = 0;
   std::uint64_t errors = 0;
 };
@@ -110,7 +107,99 @@ PipelineMetrics fetch_metrics(obs::Registry* registry) {
   return m;
 }
 
+judge::JudgeRequest request_of(const JudgeItem& item) {
+  return judge::JudgeRequest{item.file, item.compile, item.exec};
+}
+
+void record_decision(PipelineRecord& record,
+                     const judge::JudgeDecision& decision) {
+  record.judged = true;
+  record.verdict = decision.verdict;
+  record.judge_says_valid = decision.says_valid;
+  record.judge_cached = decision.cached;
+  record.judge_persisted = decision.persisted;
+  if (!decision.cached) {
+    record.judge_attempts = decision.completion.attempts;
+    record.judge_gpu_seconds = decision.completion.latency_seconds;
+  }
+}
+
+/// Graceful degradation: a judge failure that survived the client's retry
+/// budget becomes a recorded outcome — kind, attempt count and message
+/// preserved — instead of a dropped record or a worker-killing throw.
+/// Anything but a ModelError keeps the record's default kind, kOther.
+void record_error(PipelineRecord& record, const std::exception_ptr& error) {
+  record.judge_error = true;
+  try {
+    std::rethrow_exception(error);
+  } catch (const llm::ModelError& e) {
+    record.judge_error_kind = e.kind();
+    record.judge_attempts = e.attempts();
+    record.judge_error_message = e.what();
+  } catch (const std::exception& e) {
+    record.judge_error_message = e.what();
+  } catch (...) {
+    record.judge_error_message = "unknown judge failure";
+  }
+}
+
 }  // namespace
+
+JudgeStage::JudgeStage(const judge::Llmj& judge, std::size_t group_size,
+                       std::uint64_t seed, obs::Tracer* tracer)
+    : judge_(judge),
+      group_size_(std::max<std::size_t>(group_size, 1)),
+      seed_(seed),
+      tracer_(tracer) {}
+
+void JudgeStage::run(const std::vector<JudgeItem>& items,
+                     std::uint64_t parent_span,
+                     const std::function<void(std::size_t)>& on_judged) const {
+  // Submit every group first...
+  std::vector<judge::JudgeFuture> futures;
+  std::vector<std::uint64_t> submit_us;  // judge-span starts (tracing only)
+  futures.reserve(items.size());
+  std::vector<judge::JudgeRequest> requests;
+  for (std::size_t start = 0; start < items.size(); start += group_size_) {
+    const std::size_t end = std::min(items.size(), start + group_size_);
+    if (tracer_ != nullptr) submit_us.resize(end, support::now_us());
+    if (group_size_ == 1) {
+      futures.push_back(
+          judge_.evaluate_async(request_of(items[start]), seed_));
+      continue;
+    }
+    requests.clear();
+    for (std::size_t i = start; i < end; ++i) {
+      requests.push_back(request_of(items[i]));
+    }
+    for (auto& future : judge_.evaluate_async_many(requests, seed_)) {
+      futures.push_back(std::move(future));
+    }
+  }
+  // ...then drain, recording each item as it resolves. The judge span runs
+  // from submission to resolution; an uncached decision carries its
+  // simulated GPU cost and the flow id of the batcher flush that served it.
+  judge::drain(futures, [&](std::size_t i, judge::JudgeOutcome& outcome) {
+    const JudgeItem& item = items[i];
+    obs::ObsSpan span(tracer_, obs::SpanKind::kJudge, item.trace_id,
+                      parent_span);
+    if (span) span.set_start_us(submit_us[i]);
+    if (outcome.error != nullptr) {
+      span.set_arg(-1);
+      record_error(*item.record, outcome.error);
+    } else {
+      const judge::JudgeDecision& decision = outcome.decision;
+      span.set_arg(static_cast<std::int64_t>(decision.verdict));
+      if (!decision.cached) {
+        span.set_gpu_seconds(decision.completion.latency_seconds);
+        span.set_flow(decision.completion.trace_flow);
+      }
+      record_decision(*item.record, decision);
+    }
+    span.end();
+    if (on_judged) on_judged(i);
+  });
+}
 
 ValidationPipeline::ValidationPipeline(
     toolchain::CompilerDriver compiler, toolchain::Executor executor,
@@ -125,7 +214,7 @@ ValidationPipeline::ValidationPipeline(
   if (config_.judge_batch_size == 0) {
     throw std::invalid_argument(
         "ValidationPipeline: PipelineConfig::judge_batch_size must be >= 1 "
-        "(1 = sequential per-item judging); 0 is not a valid batch size");
+        "(1 = one judge submission per file); 0 is not a valid batch size");
   }
   if (config_.compile_workers == 0) config_.compile_workers = 1;
   if (config_.execute_workers == 0) config_.execute_workers = 1;
@@ -321,214 +410,66 @@ PipelineResult ValidationPipeline::run(
     });
   }
 
-  // Stage 3: agent-based LLMJ, submit-then-drain. With judge_batch_size >
-  // 1 the worker slices each popped chunk into submission groups and
-  // submits every group asynchronously before draining any future: cache
-  // misses enter the client's adaptive batcher together, and while this
-  // worker blocks on its first decision other workers keep submitting —
-  // so with a nonzero batcher window, cross-worker batches form naturally
-  // instead of being limited to per-worker chunks.
-  const std::size_t judge_batch = config_.judge_batch_size;
+  // Stage 3: agent-based LLMJ through the shared judge stage. Each popped
+  // chunk is submitted in judge_batch_size groups before any decision is
+  // drained, so while this worker blocks on its first decision other
+  // workers keep submitting — with a nonzero batcher window, cross-worker
+  // batches form naturally instead of being limited to per-worker chunks.
+  const JudgeStage judge_stage(*judge_, config_.judge_batch_size,
+                               config_.judge_seed, tracer);
   for (std::size_t w = 0; w < config_.judge_workers; ++w) {
     workers.emplace_back([&, w] {
       JudgeLocal local;
-      const auto record_decision = [&](const WorkItem& item,
-                                       const judge::JudgeDecision& decision) {
-        PipelineRecord& record = result.records[item.index];
-        record.judged = true;
-        record.verdict = decision.verdict;
-        record.judge_says_valid = decision.says_valid;
-        record.judge_cached = decision.cached;
-        record.judge_persisted = decision.persisted;
+      std::vector<WorkItem> batch;
+      std::vector<JudgeItem> items;
+      batch.reserve(kStageBatch);
+      items.reserve(kStageBatch);
+      const auto tally = [&](std::size_t i) {
+        const PipelineRecord& record = *items[i].record;
         ++local.stats.processed;
-        if (!decision.says_valid) ++local.stats.rejected;
-        if (decision.persisted) ++local.persisted_hits;
         metrics.judge_processed.inc();
-        if (!decision.says_valid) metrics.judge_rejected.inc();
-        if (decision.persisted) metrics.judge_persisted_hits.inc();
-        if (decision.cached) {
+        if (record.judge_error) {
+          ++local.errors;
+          metrics.judge_errors.inc();
+          return;
+        }
+        if (!record.judge_says_valid) {
+          ++local.stats.rejected;
+          metrics.judge_rejected.inc();
+        }
+        if (record.judge_persisted) {
+          ++local.persisted_hits;
+          metrics.judge_persisted_hits.inc();
+        }
+        if (record.judge_cached) {
           ++local.cache_hits;
           metrics.judge_cache_hits.inc();
         } else {
           ++local.cache_misses;
           metrics.judge_cache_misses.inc();
-          record.judge_attempts = decision.completion.attempts;
-          record.judge_gpu_seconds = decision.completion.latency_seconds;
-          local.gpu_seconds += decision.completion.latency_seconds;
+          local.gpu_seconds += record.judge_gpu_seconds;
         }
       };
-      // Graceful degradation: a judge failure that survived the client's
-      // retry budget becomes a recorded outcome — kind and attempt count
-      // preserved — instead of a dropped record or a worker-killing throw.
-      const auto record_error = [&](const WorkItem& item,
-                                    const std::exception_ptr& error) {
-        PipelineRecord& record = result.records[item.index];
-        record.judge_error = true;
-        try {
-          std::rethrow_exception(error);
-        } catch (const llm::ModelError& e) {
-          record.judge_error_kind = e.kind();
-          record.judge_attempts = e.attempts();
-        } catch (...) {
-          record.judge_error_kind = llm::FailureKind::kOther;
-        }
-        ++local.stats.processed;
-        ++local.errors;
-        metrics.judge_processed.inc();
-        metrics.judge_errors.inc();
-      };
-      /// One submitted-but-not-drained chunk item.
-      struct PendingJudge {
-        const WorkItem* item = nullptr;
-        judge::JudgeFuture future;
-        judge::JudgeDecision decision;
-        std::exception_ptr error;  ///< the judge gave up on this item
-        std::size_t group = 0;  ///< submission-group id within the chunk
-        std::uint64_t submit_us = 0;  ///< judge-span start (tracing only)
-      };
-      // Judge span: submission to drain, stamped when the future resolves.
-      // Uncached decisions carry the simulated GPU cost and the flow id of
-      // the serving batcher flush, so exporters can link each request back
-      // to the forward pass that served it.
-      const auto trace_judge = [&](const PendingJudge& entry) {
-        if (tracer == nullptr) return;
-        obs::ObsSpan span(tracer, obs::SpanKind::kJudge,
-                          entry.item->index + 1, run_span_id);
-        span.set_start_us(entry.submit_us);
-        if (entry.error != nullptr) {
-          span.set_arg(-1);
-        } else {
-          span.set_arg(static_cast<std::int64_t>(entry.decision.verdict));
-          if (!entry.decision.cached) {
-            span.set_gpu_seconds(entry.decision.completion.latency_seconds);
-            span.set_flow(entry.decision.completion.trace_flow);
-          }
-        }
-      };
-      std::vector<WorkItem> batch;
-      std::vector<judge::JudgeRequest> requests;
-      std::vector<PendingJudge> pending;
-      batch.reserve(kStageBatch);
-      requests.reserve(judge_batch);
-      pending.reserve(kStageBatch);
       for (;;) {
         batch.clear();
         if (judge_queue.pop_up_to(kStageBatch, batch) == 0) break;
         metrics.judge_chunk.observe(batch.size());
-        if (tracer != nullptr) {
-          // Residency in the judge queue: enqueue to chunk pickup.
-          for (const WorkItem& item : batch) {
-            if (item.queued_us == 0) continue;
+        items.clear();
+        for (const WorkItem& item : batch) {
+          if (tracer != nullptr && item.queued_us != 0) {
+            // Residency in the judge queue: enqueue to chunk pickup.
             obs::ObsSpan wait(tracer, obs::SpanKind::kQueueWait,
                               item.index + 1, run_span_id);
             wait.set_start_us(item.queued_us);
             wait.set_arg(2);
           }
-        }
-        if (judge_batch <= 1) {
-          // Sequential per-item path: the paper's one-call-per-file
-          // accounting (each call is its own immediate flush when the
-          // batcher window is pinned to 0).
-          for (const WorkItem& item : batch) {
-            support::Stopwatch timer;
-            obs::ObsSpan span(tracer, obs::SpanKind::kJudge, item.index + 1,
-                              run_span_id);
-            try {
-              const judge::JudgeDecision decision =
-                  judge_->evaluate(files[item.index], &item.compile,
-                                   &item.exec, config_.judge_seed);
-              span.set_arg(static_cast<std::int64_t>(decision.verdict));
-              if (!decision.cached) {
-                span.set_gpu_seconds(decision.completion.latency_seconds);
-                span.set_flow(decision.completion.trace_flow);
-              }
-              span.end();
-              local.stats.busy_seconds += timer.seconds();
-              record_decision(item, decision);
-            } catch (...) {
-              span.set_arg(-1);
-              span.end();
-              local.stats.busy_seconds += timer.seconds();
-              record_error(item, std::current_exception());
-            }
-          }
-          continue;
+          items.push_back(JudgeItem{&files[item.index], &item.compile,
+                                    &item.exec, item.index + 1,
+                                    &result.records[item.index]});
         }
         support::Stopwatch timer;
-        // Submit every group of the chunk first...
-        pending.clear();
-        std::size_t groups = 0;
-        for (std::size_t start = 0; start < batch.size();
-             start += judge_batch, ++groups) {
-          const std::size_t end =
-              std::min(batch.size(), start + judge_batch);
-          requests.clear();
-          for (std::size_t i = start; i < end; ++i) {
-            requests.push_back(judge::JudgeRequest{
-                &files[batch[i].index], &batch[i].compile, &batch[i].exec});
-          }
-          const std::uint64_t group_submit_us =
-              tracer != nullptr ? support::now_us() : 0;
-          auto futures =
-              judge_->evaluate_async_many(requests, config_.judge_seed);
-          for (std::size_t i = start; i < end; ++i) {
-            PendingJudge entry;
-            entry.item = &batch[i];
-            entry.future = std::move(futures[i - start]);
-            entry.group = groups;
-            entry.submit_us = group_submit_us;
-            pending.push_back(std::move(entry));
-          }
-        }
-        // ...then drain: futures this worker owns first, duplicates of
-        // other workers' in-flight keys second — the owners publish before
-        // anyone waits, so two workers holding duplicates of each other's
-        // claims cannot deadlock.
-        for (PendingJudge& entry : pending) {
-          if (!entry.future.waits_on_peer()) {
-            try {
-              entry.decision = entry.future.get();
-            } catch (...) {
-              entry.error = std::current_exception();
-            }
-            trace_judge(entry);
-          }
-        }
-        for (PendingJudge& entry : pending) {
-          if (entry.future.waits_on_peer()) {
-            try {
-              entry.decision = entry.future.get();
-            } catch (...) {
-              entry.error = std::current_exception();
-            }
-            trace_judge(entry);
-          }
-        }
+        judge_stage.run(items, run_span_id, tally);
         local.stats.busy_seconds += timer.seconds();
-        // Per-group accounting of the popped-chunk view: count only
-        // decisions whose model call rode the batch submission API —
-        // cache hits, dedup copies, and rare sequential fallbacks (a
-        // waiter taking over an abandoned key) are not batched prompts.
-        // The forward-pass truth comes from the client's flush counters,
-        // snapshotted around the whole run.
-        for (std::size_t g = 0; g < groups; ++g) {
-          std::uint64_t submitted = 0;
-          for (const PendingJudge& entry : pending) {
-            if (entry.group == g && entry.decision.batched) ++submitted;
-          }
-          if (submitted > 0) {
-            ++local.batches;
-            local.batched_prompts += submitted;
-            local.max_batch = std::max(local.max_batch, submitted);
-          }
-        }
-        for (const PendingJudge& entry : pending) {
-          if (entry.error != nullptr) {
-            record_error(*entry.item, entry.error);
-          } else {
-            record_decision(*entry.item, entry.decision);
-          }
-        }
       }
       judge_locals[w] = local;
     });
@@ -567,17 +508,13 @@ PipelineResult ValidationPipeline::run(
     result.judge_gpu_seconds += local.gpu_seconds;
     result.judge_cache_hits += local.cache_hits;
     result.judge_cache_misses += local.cache_misses;
-    result.judge_batches += local.batches;
-    result.judge_batched_prompts += local.batched_prompts;
-    result.judge_max_batch = std::max(result.judge_max_batch, local.max_batch);
     result.judge_persisted_hits += local.persisted_hits;
     result.judge_errors += local.errors;
   }
   // Batcher truth: occupancy and flush telemetry come from the client's
   // counters, windowed over this run — batches are counted as the model
-  // actually formed them, not as the judge workers' popped chunks happened
-  // to slice them (a pass coalescing several workers' groups counts once,
-  // at its true size).
+  // actually formed them (a pass coalescing several workers' groups counts
+  // once, at its true size).
   const llm::ClientStats client_after = judge_->client().stats();
   result.judge_formed_batches =
       client_after.formed_batches - client_before.formed_batches;

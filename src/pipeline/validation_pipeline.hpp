@@ -1,6 +1,7 @@
 #pragma once
 
 #include <array>
+#include <functional>
 #include <memory>
 #include <string>
 #include <vector>
@@ -33,18 +34,15 @@ struct PipelineConfig {
   std::size_t judge_workers = 1;
   std::size_t queue_capacity = 128;
   std::uint64_t judge_seed = 0;
-  /// Items a judge worker submits to Llmj::evaluate_async_many per group:
-  /// cache misses inside such a group enter the model client's adaptive
-  /// batcher together, and — with the batcher's wait window pinned to 0 —
-  /// go to the model as one batched forward pass that amortizes prefill.
-  /// With a nonzero window the batcher may further coalesce groups from
-  /// different judge workers into shared cross-worker passes. 1 selects
-  /// the sequential per-item path — the paper's one-call-per-file
-  /// accounting, which the core/ experiments pin to keep their simulated
-  /// GPU totals seed-exact. 0 is invalid: the pipeline constructor rejects
-  /// it instead of silently misbehaving. Effective group sizes are also
-  /// bounded by how many items a queue pop returns, so chunk occupancy can
-  /// come in under this value on a draining queue.
+  /// Items a judge worker submits per JudgeStage group: cache misses
+  /// inside a group enter the model client's adaptive batcher together
+  /// and, with the batcher's wait window pinned to 0, go to the model as
+  /// one batched forward pass that amortizes prefill; a nonzero window may
+  /// further coalesce groups of different workers. 1 submits every file on
+  /// its own — the paper's one-call-per-file accounting, which the core/
+  /// experiments pin to keep their simulated GPU totals seed-exact. 0 is
+  /// rejected by the pipeline constructor. Groups are also bounded by how
+  /// many items a queue pop returns.
   std::size_t judge_batch_size = 8;
   /// Items a worker moves per queue round-trip (pop_up_to / push_all).
   /// Batching amortizes the queue lock over several items; kept small so
@@ -112,13 +110,51 @@ struct PipelineRecord {
   /// stays in the results with the failure's kind and attempt count below
   /// — graceful degradation, never a silent drop. `judged` stays false.
   bool judge_error = false;
-  /// Why the judge gave up (valid only when judge_error).
+  /// Why the judge gave up, and the failure's message (valid only when
+  /// judge_error).
   llm::FailureKind judge_error_kind = llm::FailureKind::kOther;
+  std::string judge_error_message;
   /// Forward passes the client spent on this record's judge decision: 1 on
   /// a clean first try, >1 when retries were needed (success or failure),
   /// 0 when no pass ran (cache hit, filtered, shed, or still queued at
   /// expiry).
   std::uint32_t judge_attempts = 0;
+};
+
+/// One file entering the judge stage; every referent must outlive the
+/// JudgeStage::run call that judges it.
+struct JudgeItem {
+  const frontend::SourceFile* file = nullptr;
+  const toolchain::CompileResult* compile = nullptr;
+  const toolchain::ExecutionRecord* exec = nullptr;
+  std::uint64_t trace_id = 0;        ///< trace id of the item's judge span
+  PipelineRecord* record = nullptr;  ///< receives the judge fields
+};
+
+/// The agent-based LLM-judge stage of Figure 2: the one implementation that
+/// ValidationPipeline's judge workers and serve::Server's workers share, so
+/// a file gets the same verdict, span and failure record either way.
+class JudgeStage {
+ public:
+  /// `group_size` 0 is treated as 1. The judge and the tracer (null = no
+  /// spans) must outlive the stage.
+  JudgeStage(const judge::Llmj& judge, std::size_t group_size,
+             std::uint64_t seed, obs::Tracer* tracer);
+
+  /// Submit `items` in groups of `group_size` — a group of one as a plain
+  /// single submission, exactly like Llmj::evaluate; larger groups through
+  /// the batch API — then drain them all with judge::drain. As each item
+  /// resolves, emit its judge span (submission to resolution, parented to
+  /// `parent_span`), fill its record's judge fields (the decision, or the
+  /// failure's kind, attempts and message) and call `on_judged(i)`.
+  void run(const std::vector<JudgeItem>& items, std::uint64_t parent_span,
+           const std::function<void(std::size_t)>& on_judged) const;
+
+ private:
+  const judge::Llmj& judge_;
+  std::size_t group_size_;
+  std::uint64_t seed_;
+  obs::Tracer* tracer_;
 };
 
 /// Per-stage counters.
@@ -144,21 +180,12 @@ struct PipelineResult {
   std::uint64_t judge_cache_misses = 0;
   /// Items refused by a closed queue (sum of PipelineRecord::dropped).
   std::size_t dropped_items = 0;
-  /// Batched judge submission *groups*: judge-worker chunk groups that put
-  /// at least one prompt in front of the model (cache-hit-only groups
-  /// don't count). This is the per-worker "popped chunk" view; the batcher
-  /// counters below are the forward-pass truth.
-  std::uint64_t judge_batches = 0;
-  /// Prompts submitted through those groups.
-  std::uint64_t judge_batched_prompts = 0;
-  /// Largest single submission group observed during the run.
-  std::uint64_t judge_max_batch = 0;
   /// Mean prompts per batched forward pass actually formed by the model
   /// client's adaptive batcher during this run (0 when nothing was
   /// batched). The headline occupancy number: how full the batched
-  /// forward passes really ran. Unlike the popped-chunk counters above,
-  /// this is computed from the client's flush statistics, so passes that
-  /// coalesced several workers' groups count once, at their true size.
+  /// forward passes really ran. It is computed from the client's flush
+  /// statistics, so a pass that coalesced several workers' groups counts
+  /// once, at its true size.
   double judge_batch_occupancy = 0.0;
   /// Forward passes the judge's client executed during the run (every
   /// flush, any size) and their flush-reason split — the adaptive
@@ -224,7 +251,7 @@ struct PipelineResult {
 class ValidationPipeline {
  public:
   /// Throws std::invalid_argument on a null judge or a config with
-  /// judge_batch_size == 0 (use 1 for sequential per-item judging).
+  /// judge_batch_size == 0 (use 1 for one submission per file).
   ValidationPipeline(toolchain::CompilerDriver compiler,
                      toolchain::Executor executor,
                      std::shared_ptr<const judge::Llmj> judge,

@@ -16,6 +16,7 @@
 
 #include "obs/registry.hpp"
 #include "obs/trace.hpp"
+#include "pipeline/validation_pipeline.hpp"
 #include "serve/protocol.hpp"
 #include "support/jsonl.hpp"
 #include "support/stopwatch.hpp"
@@ -50,7 +51,12 @@ struct Connection {
   bool dead = false;  ///< write error; close on next sweep
 
   support::Mutex out_mutex;
+  /// Buffered output; bytes before out_sent are already on the wire.
+  /// flush() advances the offset instead of erasing the sent prefix after
+  /// every partial send (quadratic for a slow reader), and compacts once
+  /// the buffer drains or the sent prefix outgrows the unsent tail.
   std::string out_buf GUARDED_BY(out_mutex);
+  std::size_t out_sent GUARDED_BY(out_mutex) = 0;
   /// Accepted jobs whose terminal response has not been queued yet. A
   /// half-closed connection (peer EOF) stays open until this reaches zero,
   /// so a client may send its submits, shut down its write side, and still
@@ -65,7 +71,7 @@ struct Connection {
 
   bool output_pending() EXCLUDES(out_mutex) {
     support::MutexLock lock(out_mutex);
-    return !out_buf.empty();
+    return out_sent < out_buf.size();
   }
 
   void add_outstanding(std::int64_t n) EXCLUDES(out_mutex) {
@@ -75,24 +81,32 @@ struct Connection {
 
   bool settled() EXCLUDES(out_mutex) {
     support::MutexLock lock(out_mutex);
-    return out_buf.empty() && outstanding <= 0;
+    return out_sent == out_buf.size() && outstanding <= 0;
   }
 
   /// Write as much buffered output as the socket accepts. Returns false
   /// on a fatal write error.
   bool flush() EXCLUDES(out_mutex) {
     support::MutexLock lock(out_mutex);
-    while (!out_buf.empty()) {
-      const ssize_t n =
-          send(fd, out_buf.data(), out_buf.size(), MSG_NOSIGNAL);
+    bool ok = true;
+    while (out_sent < out_buf.size()) {
+      const ssize_t n = send(fd, out_buf.data() + out_sent,
+                             out_buf.size() - out_sent, MSG_NOSIGNAL);
       if (n > 0) {
-        out_buf.erase(0, static_cast<std::size_t>(n));
+        out_sent += static_cast<std::size_t>(n);
         continue;
       }
-      if (n < 0 && (errno == EAGAIN || errno == EWOULDBLOCK)) return true;
-      return false;
+      ok = n < 0 && (errno == EAGAIN || errno == EWOULDBLOCK);
+      break;
     }
-    return true;
+    if (out_sent == out_buf.size()) {
+      out_buf.clear();
+      out_sent = 0;
+    } else if (out_sent > out_buf.size() / 2) {
+      out_buf.erase(0, out_sent);
+      out_sent = 0;
+    }
+    return ok;
   }
 };
 
@@ -101,6 +115,7 @@ struct Server::Impl {
   toolchain::Executor executor;
   std::shared_ptr<const judge::Llmj> judge;
   ServerConfig config;
+  pipeline::JudgeStage judge_stage;
 
   TenantTable tenant_table;
   FairScheduler scheduler;
@@ -139,6 +154,8 @@ struct Server::Impl {
         executor(std::move(executor_in)),
         judge(std::move(judge_in)),
         config(std::move(config_in)),
+        judge_stage(*judge, config.job_batch, config.judge_seed,
+                    config.trace.get()),
         tenant_table(config.default_tenant),
         scheduler(config.max_queued) {
     for (const auto& [name, tenant_config] : config.tenants) {
@@ -654,8 +671,11 @@ void Server::Impl::process_batch(std::vector<ServeJob>& batch) {
   struct StageWork {
     toolchain::CompileResult compile;
     toolchain::ExecutionRecord exec;
+    pipeline::PipelineRecord record;
   };
   std::vector<StageWork> work(batch.size());
+  std::vector<pipeline::JudgeItem> items;
+  items.reserve(batch.size());
   for (std::size_t i = 0; i < batch.size(); ++i) {
     {
       obs::ObsSpan span(tracer, obs::SpanKind::kQueueWait, batch[i].seq);
@@ -672,55 +692,32 @@ void Server::Impl::process_batch(std::vector<ServeJob>& batch) {
       work[i].exec = executor.run(work[i].compile.module);
       span.set_arg(work[i].exec.passed() ? 1 : 0);
     }
+    work[i].record.compiled = work[i].compile.success;
+    work[i].record.executed = work[i].exec.passed();
+    items.push_back(pipeline::JudgeItem{&batch[i].file, &work[i].compile,
+                                        &work[i].exec, batch[i].seq,
+                                        &work[i].record});
   }
-  std::vector<judge::JudgeRequest> requests;
-  requests.reserve(batch.size());
-  for (std::size_t i = 0; i < batch.size(); ++i) {
-    requests.push_back(judge::JudgeRequest{&batch[i].file, &work[i].compile,
-                                           &work[i].exec});
-  }
-  const auto futures =
-      judge->evaluate_async_many(requests, config.judge_seed);
-  // Drain discipline (judge/judge.hpp): resolve owned futures before
-  // peer-waiting duplicates so concurrent batches can never deadlock on
-  // each other's claimed keys.
-  for (const bool peer_pass : {false, true}) {
-    for (std::size_t i = 0; i < futures.size(); ++i) {
-      if (futures[i].waits_on_peer() != peer_pass) continue;
-      obs::ObsSpan span(tracer, obs::SpanKind::kJudge, batch[i].seq);
-      std::string line;
-      bool ok = true;
-      try {
-        const judge::JudgeDecision decision = futures[i].get();
-        span.set_arg(static_cast<std::int64_t>(decision.verdict));
-        double gpu_seconds = 0.0;
-        if (!decision.cached) {
-          gpu_seconds = decision.completion.latency_seconds;
-          span.set_gpu_seconds(gpu_seconds);
-          span.set_flow(decision.completion.trace_flow);
-        }
-        line = encode_verdict(
-            batch[i].request_id, judge::verdict_name(decision.verdict),
-            decision.says_valid, work[i].compile.success,
-            work[i].exec.passed(), decision.cached, gpu_seconds,
-            support::now_us() - batch[i].submitted_us);
-      } catch (const llm::ModelError& e) {
-        span.set_arg(-1);
-        ok = false;
-        line = encode_error(
-            batch[i].request_id,
-            std::string(llm::failure_kind_name(e.kind())) + ": " + e.what(),
-            support::now_us() - batch[i].submitted_us);
-      } catch (const std::exception& e) {
-        span.set_arg(-1);
-        ok = false;
-        line = encode_error(batch[i].request_id, e.what(),
-                            support::now_us() - batch[i].submitted_us);
-      }
-      span.end();
-      finish_job(batch[i], ok, line);
+  // Each job's terminal frame is queued as soon as its decision resolves.
+  judge_stage.run(items, /*parent_span=*/0, [&](std::size_t i) {
+    const pipeline::PipelineRecord& record = work[i].record;
+    const std::uint64_t latency_us = support::now_us() - batch[i].submitted_us;
+    if (record.judge_error) {
+      finish_job(batch[i], false,
+                 encode_error(batch[i].request_id,
+                              std::string(llm::failure_kind_name(
+                                  record.judge_error_kind)) +
+                                  ": " + record.judge_error_message,
+                              latency_us));
+      return;
     }
-  }
+    finish_job(batch[i], true,
+               encode_verdict(batch[i].request_id,
+                              judge::verdict_name(record.verdict),
+                              record.judge_says_valid, record.compiled,
+                              record.executed, record.judge_cached,
+                              record.judge_gpu_seconds, latency_us));
+  });
 }
 
 void Server::Impl::finish_job(const ServeJob& job, bool ok,
@@ -734,9 +731,13 @@ void Server::Impl::finish_job(const ServeJob& job, bool ok,
 
 Server::Server(toolchain::CompilerDriver compiler,
                toolchain::Executor executor,
-               std::shared_ptr<const judge::Llmj> judge, ServerConfig config)
-    : impl_(std::make_unique<Impl>(std::move(compiler), std::move(executor),
-                                   std::move(judge), std::move(config))) {}
+               std::shared_ptr<const judge::Llmj> judge, ServerConfig config) {
+  if (judge == nullptr) {
+    throw std::invalid_argument("serve: judge must not be null");
+  }
+  impl_ = std::make_unique<Impl>(std::move(compiler), std::move(executor),
+                                 std::move(judge), std::move(config));
+}
 
 Server::~Server() {
   bool need_drain;

@@ -25,10 +25,10 @@ class Tracer;
 /// admits submits through the TenantTable, and enqueues accepted jobs on
 /// the FairScheduler. Dispatcher workers pop weighted-fair job batches,
 /// run compile → execute inline (both stages are thread-safe const calls)
-/// and judge through the async futures API — so misses from all workers
-/// coalesce in the model client's central adaptive batcher — then append
-/// the terminal response line to the owning connection's output buffer
-/// and wake the IO thread to flush it.
+/// and judge through pipeline::JudgeStage, the pipeline's own judge stage
+/// — so misses from all workers coalesce in the model client's central
+/// adaptive batcher — then append each job's terminal response line to the
+/// owning connection's output buffer and wake the IO thread to flush it.
 ///
 /// Graceful drain (request_drain(), or a client "shutdown" op): stop
 /// accepting connections and submits (late submits shed as "draining"),
@@ -72,6 +72,7 @@ struct ServerStats {
 
 class Server {
  public:
+  /// Throws std::invalid_argument on a null judge.
   Server(toolchain::CompilerDriver compiler, toolchain::Executor executor,
          std::shared_ptr<const judge::Llmj> judge, ServerConfig config = {});
   /// Drains (request_drain + wait) if still running.

@@ -43,16 +43,14 @@ void expect_same_decision(const JudgeDecision& a, const JudgeDecision& b) {
   EXPECT_EQ(a.completion.completion_tokens, b.completion.completion_tokens);
 }
 
-/// Drain futures with the documented discipline: owned work first, then
-/// duplicates of other callers' in-flight keys.
-std::vector<JudgeDecision> drain(const std::vector<JudgeFuture>& futures) {
+/// Drain futures with judge::drain (owned work first, then duplicates of
+/// other callers' in-flight keys), rethrowing the first failure.
+std::vector<JudgeDecision> drain_all(const std::vector<JudgeFuture>& futures) {
   std::vector<JudgeDecision> decisions(futures.size());
-  for (std::size_t i = 0; i < futures.size(); ++i) {
-    if (!futures[i].waits_on_peer()) decisions[i] = futures[i].get();
-  }
-  for (std::size_t i = 0; i < futures.size(); ++i) {
-    if (futures[i].waits_on_peer()) decisions[i] = futures[i].get();
-  }
+  drain(futures, [&](std::size_t i, JudgeOutcome& outcome) {
+    if (outcome.error != nullptr) std::rethrow_exception(outcome.error);
+    decisions[i] = std::move(outcome.decision);
+  });
   return decisions;
 }
 
@@ -104,7 +102,8 @@ TEST(JudgeAsyncTest, AsyncDecisionsByteIdenticalToSequentialForAnyNT) {
       for (std::size_t i = 0; i < files.size(); ++i) {
         requests.push_back(JudgeRequest{&files[i], &compiles[i], &execs[i]});
       }
-      const auto decisions = drain(judge.evaluate_async_many(requests, 9));
+      const auto decisions =
+          drain_all(judge.evaluate_async_many(requests, 9));
       ASSERT_EQ(decisions.size(), reference.size());
       for (std::size_t i = 0; i < decisions.size(); ++i) {
         SCOPED_TRACE("config N=" + std::to_string(config.max_batch) +

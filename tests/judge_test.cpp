@@ -93,9 +93,14 @@ TEST(PromptTest, BuildPromptDispatchesAndValidates) {
 // ---------------------------------------------------------------------------
 
 struct VerdictCase {
+  const char* label;
   std::string completion;
   Verdict expected;
 };
+
+// Printing the label keeps the discovered CTest names stable: the default
+// printer dumps the object's bytes, heap pointers included.
+void PrintTo(const VerdictCase& c, std::ostream* os) { *os << c.label; }
 
 class VerdictParseTest : public ::testing::TestWithParam<VerdictCase> {};
 
@@ -106,21 +111,31 @@ TEST_P(VerdictParseTest, ParsesExpectedVerdict) {
 INSTANTIATE_TEST_SUITE_P(
     Cases, VerdictParseTest,
     ::testing::Values(
-        VerdictCase{"blah\nFINAL JUDGEMENT: valid\n", Verdict::kValid},
-        VerdictCase{"FINAL JUDGEMENT: invalid", Verdict::kInvalid},
-        VerdictCase{"FINAL JUDGEMENT: correct", Verdict::kValid},
-        VerdictCase{"FINAL JUDGEMENT: incorrect", Verdict::kInvalid},
-        VerdictCase{"final judgement:   VALID", Verdict::kValid},
-        VerdictCase{"Final Judgement:\ninvalid", Verdict::kInvalid},
-        VerdictCase{"FINAL JUDGMENT: valid (US spelling)", Verdict::kValid},
-        VerdictCase{"FINAL JUDGEMENT: \"invalid\"", Verdict::kInvalid},
+        VerdictCase{"valid_after_preamble",
+                    "blah\nFINAL JUDGEMENT: valid\n", Verdict::kValid},
+        VerdictCase{"invalid", "FINAL JUDGEMENT: invalid", Verdict::kInvalid},
+        VerdictCase{"correct_means_valid",
+                    "FINAL JUDGEMENT: correct", Verdict::kValid},
+        VerdictCase{"incorrect_means_invalid",
+                    "FINAL JUDGEMENT: incorrect", Verdict::kInvalid},
+        VerdictCase{"case_insensitive_valid",
+                    "final judgement:   VALID", Verdict::kValid},
+        VerdictCase{"newline_before_invalid",
+                    "Final Judgement:\ninvalid", Verdict::kInvalid},
+        VerdictCase{"us_spelling_valid",
+                    "FINAL JUDGMENT: valid (US spelling)", Verdict::kValid},
+        VerdictCase{"quoted_invalid",
+                    "FINAL JUDGEMENT: \"invalid\"", Verdict::kInvalid},
         // The last phrase wins when the model restates itself.
-        VerdictCase{"FINAL JUDGEMENT: valid ... on reflection\n"
+        VerdictCase{"last_phrase_wins",
+                    "FINAL JUDGEMENT: valid ... on reflection\n"
                     "FINAL JUDGEMENT: invalid",
                     Verdict::kInvalid},
-        VerdictCase{"no protocol phrase at all", Verdict::kUnparseable},
-        VerdictCase{"FINAL JUDGEMENT: maybe?", Verdict::kUnparseable},
-        VerdictCase{"", Verdict::kUnparseable}));
+        VerdictCase{"no_phrase_unparseable",
+                    "no protocol phrase at all", Verdict::kUnparseable},
+        VerdictCase{"unknown_word_unparseable",
+                    "FINAL JUDGEMENT: maybe?", Verdict::kUnparseable},
+        VerdictCase{"empty_unparseable", "", Verdict::kUnparseable}));
 
 TEST(VerdictTest, FuzzedCompletionsNeverThrow) {
   support::Rng rng(123);

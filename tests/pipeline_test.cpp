@@ -294,20 +294,29 @@ TEST(PipelineTest, BatchedJudgingMatchesSequentialVerdicts) {
 TEST(PipelineTest, BatchedJudgingFillsBatchesAndSavesGpuSeconds) {
   const auto probed = probed_batch(8, 60);  // 100 files through one judge
   const auto files = files_of(probed);
+  auto sequential_client = core::make_simulated_client(4);
+  auto batched_client = core::make_simulated_client(4);
   const auto sequential =
-      make_batched_pipeline(1, core::make_simulated_client(4)).run(files);
-  const auto batched =
-      make_batched_pipeline(8, core::make_simulated_client(4)).run(files);
+      make_batched_pipeline(1, sequential_client).run(files);
+  const auto batched = make_batched_pipeline(8, batched_client).run(files);
 
-  // The sequential path never batches.
-  EXPECT_EQ(sequential.judge_batches, 0u);
+  // A group size of 1 never batches: every file is a plain single
+  // submission, so no multi-prompt pass forms and occupancy stays 0.
+  const auto sequential_stats = sequential_client->stats();
+  EXPECT_EQ(sequential_stats.batches, 0u);
+  EXPECT_EQ(sequential.judge_formed_batches,
+            static_cast<std::uint64_t>(sequential.judge_stage.processed));
+  EXPECT_EQ(sequential.judge_occupancy_hist[0],
+            sequential.judge_formed_batches);
   EXPECT_EQ(sequential.judge_batch_occupancy, 0.0);
 
   // The batched path actually filled forward passes...
-  EXPECT_GT(batched.judge_batches, 0u);
+  const auto batched_stats = batched_client->stats();
+  EXPECT_GT(batched_stats.batches, 0u);
+  EXPECT_GT(batched.judge_formed_batches, 0u);
   EXPECT_GT(batched.judge_batch_occupancy, 1.0);
-  EXPECT_GE(batched.judge_max_batch, 2u);
-  EXPECT_EQ(batched.judge_batched_prompts,
+  EXPECT_GE(batched_stats.max_batch, 2u);
+  EXPECT_EQ(batched_stats.batched_prompts,
             static_cast<std::uint64_t>(batched.judge_stage.processed));
   // ...and amortizing prefill across them costs measurably fewer simulated
   // GPU seconds than one call per file.
@@ -383,9 +392,10 @@ TEST(PipelineTest, OccupancyIsComputedFromFormedBatchesNotPoppedChunks) {
                        static_cast<double>(stats.batches));
   EXPECT_LE(result.judge_batch_occupancy, 4.0);  // capped by the batcher
   EXPECT_EQ(result.judge_formed_batches, stats.formed_batches);
-  // The popped-chunk counters still tell the worker-side story and may
-  // exceed the cap (a group of up to 8 submitted at once).
-  EXPECT_GE(result.judge_max_batch, result.judge_batch_occupancy);
+  // No formed pass exceeds the cap, and the largest one bounds the mean.
+  EXPECT_LE(stats.max_batch, 4u);
+  EXPECT_GE(static_cast<double>(stats.max_batch),
+            result.judge_batch_occupancy);
   // Histogram and telemetry flowed through.
   std::uint64_t hist_total = 0;
   for (const auto bucket : result.judge_occupancy_hist) hist_total += bucket;

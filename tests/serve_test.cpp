@@ -4,8 +4,14 @@
 // accepted job gets exactly one terminal response and the tenant
 // accounting balances to zero in-flight. Runs under the sanitizer ctest
 // label (TSan leg), so thread counts stay modest.
+#include <arpa/inet.h>
 #include <gtest/gtest.h>
+#include <netinet/in.h>
+#include <sys/socket.h>
+#include <sys/time.h>
+#include <unistd.h>
 
+#include <chrono>
 #include <map>
 #include <memory>
 #include <string>
@@ -15,7 +21,10 @@
 #include "core/experiments.hpp"
 #include "corpus/generator.hpp"
 #include "judge/judge.hpp"
+#include "llm/coder_model.hpp"
+#include "llm/faults.hpp"
 #include "obs/registry.hpp"
+#include "pipeline/validation_pipeline.hpp"
 #include "serve/client.hpp"
 #include "serve/protocol.hpp"
 #include "serve/scheduler.hpp"
@@ -277,8 +286,9 @@ struct ServerHarness {
   std::unique_ptr<Server> server;
 
   explicit ServerHarness(ServerConfig config = {},
-                         judge::JudgeCacheConfig cache = {}) {
-    auto client = core::make_simulated_client(2);
+                         judge::JudgeCacheConfig cache = {},
+                         std::shared_ptr<llm::ModelClient> client =
+                             core::make_simulated_client(2)) {
     judge = std::make_shared<const judge::Llmj>(
         client, llm::PromptStyle::kAgentDirect, cache);
     config.registry = registry;
@@ -288,6 +298,32 @@ struct ServerHarness {
     server->start();
   }
 };
+
+/// A simulated client whose model rejects every request permanently.
+std::shared_ptr<llm::ModelClient> permanently_failing_client() {
+  llm::FaultPlanConfig plan;
+  plan.permanent_rate = 1.0;
+  llm::CoderModelConfig model_config;
+  model_config.faults = std::make_shared<llm::FaultPlan>(plan);
+  return std::make_shared<llm::ModelClient>(
+      std::make_shared<const llm::SimulatedCoderModel>(model_config), 2);
+}
+
+/// The batch pipeline over the server's toolchain and judge style, one
+/// judge submission per file.
+pipeline::PipelineResult run_pipeline(
+    std::shared_ptr<llm::ModelClient> client,
+    const std::vector<frontend::SourceFile>& files) {
+  pipeline::PipelineConfig config;
+  config.judge_batch_size = 1;
+  const pipeline::ValidationPipeline pipe(
+      toolchain::CompilerDriver(toolchain::nvc_persona()),
+      toolchain::Executor(),
+      std::make_shared<const judge::Llmj>(std::move(client),
+                                          llm::PromptStyle::kAgentDirect),
+      config);
+  return pipe.run(files);
+}
 
 TEST(ServeServerTest, VerdictsMatchTheDirectJudge) {
   ServerConfig config;
@@ -306,6 +342,8 @@ TEST(ServeServerTest, VerdictsMatchTheDirectJudge) {
   const toolchain::CompilerDriver compiler(toolchain::nvc_persona());
   const toolchain::Executor executor;
 
+  std::vector<frontend::SourceFile> files;
+  std::vector<double> direct_gpu_seconds;
   for (std::uint64_t id = 1; id <= 4; ++id) {
     const auto file = sample_file(id);
     const auto response = client.submit_and_wait(id, file);
@@ -318,11 +356,144 @@ TEST(ServeServerTest, VerdictsMatchTheDirectJudge) {
     EXPECT_EQ(response->judge_valid, decision.says_valid);
     EXPECT_EQ(response->compiled, compiled.success);
     EXPECT_EQ(response->executed, ran.passed());
+    files.push_back(file);
+    direct_gpu_seconds.push_back(decision.completion.latency_seconds);
   }
   const TenantStats stats = harness.server->tenants().stats("t");
   EXPECT_EQ(stats.submitted, 4u);
   EXPECT_EQ(stats.completed_ok, 4u);
   EXPECT_EQ(stats.in_flight, 0u);
+
+  // The batch pipeline shares the server's judge stage. With one file per
+  // submission it prices every file exactly like the direct call.
+  const auto records =
+      run_pipeline(core::make_simulated_client(2), files).records;
+  ASSERT_EQ(records.size(), files.size());
+  for (std::size_t i = 0; i < records.size(); ++i) {
+    EXPECT_TRUE(records[i].judged) << i;
+    EXPECT_EQ(records[i].judge_gpu_seconds, direct_gpu_seconds[i]) << i;
+  }
+
+  // A judge failure is one answer too: a model that rejects every request
+  // yields an error frame from the server and a judge_error record from
+  // the pipeline, and both name the same failure kind.
+  ServerHarness faulted(config, {}, permanently_failing_client());
+  Client faulted_client;
+  ASSERT_TRUE(faulted_client.connect("127.0.0.1", faulted.server->port(),
+                                     "t"))
+      << faulted_client.last_error();
+  const auto error = faulted_client.submit_and_wait(1, files[0]);
+  ASSERT_TRUE(error.has_value()) << faulted_client.last_error();
+  ASSERT_EQ(error->type, ResponseType::kError);
+  const auto failed =
+      run_pipeline(permanently_failing_client(), {files[0]}).records;
+  ASSERT_EQ(failed.size(), 1u);
+  ASSERT_TRUE(failed[0].judge_error);
+  EXPECT_EQ(failed[0].judge_error_kind, llm::FailureKind::kPermanent);
+  EXPECT_EQ(error->reason.substr(0, error->reason.find(':')),
+            llm::failure_kind_name(failed[0].judge_error_kind));
+  EXPECT_EQ(faulted.server->tenants().stats("t").completed_error, 1u);
+}
+
+/// The server's end of a loopback connection: the descriptor in this
+/// process whose peer address is `client_fd`'s local address, or -1.
+int server_end_of(int client_fd) {
+  sockaddr_in local{};
+  socklen_t local_len = sizeof local;
+  if (getsockname(client_fd, reinterpret_cast<sockaddr*>(&local),
+                  &local_len) != 0) {
+    return -1;
+  }
+  for (int fd = 0; fd < 4096; ++fd) {
+    sockaddr_in peer{};
+    socklen_t peer_len = sizeof peer;
+    if (fd == client_fd ||
+        getpeername(fd, reinterpret_cast<sockaddr*>(&peer), &peer_len) != 0) {
+      continue;
+    }
+    if (peer.sin_family == AF_INET && peer.sin_port == local.sin_port &&
+        peer.sin_addr.s_addr == local.sin_addr.s_addr) {
+      return fd;
+    }
+  }
+  return -1;
+}
+
+TEST(ServeServerTest, SlowReaderGetsEveryFrameIntactAndInOrder) {
+  // A client that lets a large burst of responses pile up and then reads
+  // it a few bytes at a time. Both socket buffers are shrunk, so the burst
+  // cannot fit in them and the server flushes it through many partial
+  // sends. Every frame must still arrive whole, once, and in the order it
+  // was queued. The frames are the protocol errors for unknown ops, which
+  // echo the op — a sequence number plus padding — and are queued inline
+  // by the IO thread in line order.
+  ServerHarness harness;
+  const int fd = socket(AF_INET, SOCK_STREAM, 0);
+  ASSERT_GE(fd, 0);
+  const int small_buffer = 4096;
+  setsockopt(fd, SOL_SOCKET, SO_RCVBUF, &small_buffer, sizeof small_buffer);
+  const timeval read_timeout{10, 0};  // a lost byte fails, never hangs
+  setsockopt(fd, SOL_SOCKET, SO_RCVTIMEO, &read_timeout, sizeof read_timeout);
+  sockaddr_in addr{};
+  addr.sin_family = AF_INET;
+  addr.sin_port = htons(harness.server->port());
+  ASSERT_EQ(inet_pton(AF_INET, "127.0.0.1", &addr.sin_addr), 1);
+  ASSERT_EQ(connect(fd, reinterpret_cast<sockaddr*>(&addr), sizeof addr), 0);
+  // A ping round trip guarantees the server has accepted the connection.
+  const std::string ping = encode_ping() + "\n";
+  ASSERT_EQ(send(fd, ping.data(), ping.size(), MSG_NOSIGNAL),
+            static_cast<ssize_t>(ping.size()));
+  std::string pending;
+  char chunk[7];
+  while (pending.find('\n') == std::string::npos) {
+    const ssize_t n = recv(fd, chunk, sizeof chunk, 0);
+    ASSERT_GT(n, 0);
+    pending.append(chunk, static_cast<std::size_t>(n));
+  }
+  ASSERT_EQ(parse_response(pending.substr(0, pending.find('\n'))).type,
+            ResponseType::kPong);
+  pending.erase(0, pending.find('\n') + 1);
+  const int server_fd = server_end_of(fd);
+  ASSERT_GE(server_fd, 0);
+  setsockopt(server_fd, SOL_SOCKET, SO_SNDBUF, &small_buffer,
+             sizeof small_buffer);
+
+  constexpr std::size_t kFrames = 500;
+  const std::string padding(1000, 'x');
+  const auto op_for = [&](std::size_t seq) {
+    return "op" + std::to_string(seq) + "-" + padding;
+  };
+  std::string burst;
+  for (std::size_t seq = 0; seq < kFrames; ++seq) {
+    burst += R"({"op":")" + op_for(seq) + "\"}\n";
+  }
+  for (std::size_t sent = 0; sent < burst.size();) {
+    const ssize_t n = send(fd, burst.data() + sent, burst.size() - sent,
+                           MSG_NOSIGNAL);
+    ASSERT_GT(n, 0);
+    sent += static_cast<std::size_t>(n);
+  }
+  // Let the whole burst queue up before reading any of it.
+  while (harness.server->stats().protocol_errors < kFrames) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+
+  std::size_t next = 0;
+  while (next < kFrames) {
+    const ssize_t n = recv(fd, chunk, sizeof chunk, 0);
+    ASSERT_GT(n, 0) << "connection closed after " << next << " frames";
+    pending.append(chunk, static_cast<std::size_t>(n));
+    for (std::size_t newline = pending.find('\n');
+         newline != std::string::npos; newline = pending.find('\n')) {
+      const Response frame = parse_response(pending.substr(0, newline));
+      pending.erase(0, newline + 1);
+      ASSERT_EQ(frame.type, ResponseType::kError) << "frame " << next;
+      ASSERT_EQ(frame.reason, "unknown op: " + op_for(next));
+      ++next;
+    }
+  }
+  close(fd);
+  EXPECT_TRUE(pending.empty());
 }
 
 TEST(ServeServerTest, PingStatsAndProtocolErrors) {
