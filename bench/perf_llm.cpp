@@ -1,13 +1,16 @@
-// Judge-stage microbenchmarks: simulated model call cost, prompt-size
-// scaling, and client-side concurrency behaviour. The `sim_latency`
-// counters show why the LLM stage dominates the pipeline's (virtual) cost.
+// Judge-stage microbenchmarks: simulated model call cost, the judge's
+// perception pass alone, prompt-size scaling, and client-side concurrency
+// behaviour. The `sim_latency` counters show why the LLM stage dominates
+// the pipeline's (virtual) cost.
 #include <benchmark/benchmark.h>
 
 #include <thread>
 
 #include "core/llm4vv.hpp"
 #include "judge/prompt.hpp"
+#include "llm/perception.hpp"
 #include "llm/tokenizer.hpp"
+#include "toolchain/executor.hpp"
 
 namespace {
 
@@ -35,6 +38,43 @@ void BM_SimulatedJudgeCall(benchmark::State& state) {
       sim_latency / static_cast<double>(state.iterations());
 }
 BENCHMARK(BM_SimulatedJudgeCall)->Unit(benchmark::kMicrosecond);
+
+/// The agent-direct prompt of every Part-Two OpenACC suite file, built the
+/// way the paper-mode judge stage builds it (compile, run, then prompt).
+const std::vector<std::string>& suite_prompts() {
+  static const std::vector<std::string> prompts = [] {
+    const auto suite = core::build_part_two_suite(
+        frontend::Flavor::kOpenACC, core::ExperimentOptions{});
+    const toolchain::CompilerDriver driver(toolchain::nvc_persona());
+    const toolchain::Executor executor;
+    std::vector<std::string> out;
+    for (const auto& probed : suite.files) {
+      const auto compiled = driver.compile(probed.file);
+      toolchain::ExecutionRecord ran;
+      if (compiled.success) ran = executor.run(compiled.module);
+      out.push_back(judge::agent_direct_prompt(probed.file, compiled, ran));
+    }
+    return out;
+  }();
+  return prompts;
+}
+
+void BM_Perceive(benchmark::State& state) {
+  // Perception alone — the judge re-reading the code through the lexer,
+  // parser, sema and directive validator, plus its text scans — once per
+  // suite prompt.
+  const auto& prompts = suite_prompts();
+  for (auto _ : state) {
+    for (const auto& prompt : prompts) {
+      const auto view = llm::perceive(prompt);
+      benchmark::DoNotOptimize(view.any_code_evidence());
+    }
+  }
+  state.SetItemsProcessed(
+      static_cast<std::int64_t>(state.iterations() * prompts.size()));
+  state.counters["prompts"] = static_cast<double>(prompts.size());
+}
+BENCHMARK(BM_Perceive)->Unit(benchmark::kMillisecond);
 
 void BM_PromptSizeScaling(benchmark::State& state) {
   // Pad the code with comment lines to scale the prompt.

@@ -21,6 +21,12 @@
 #                                 and jobs/s over loopback at 1/2/4 clients,
 #                                 plus the 3-tenant fairness sweep (see
 #                                 docs/SERVING.md)
+#   bench/BENCH_frontend.json   - compile-stage front-end throughput and
+#                                 directive validation (5-repetition medians)
+#   bench/BENCH_llm.json        - simulated judge call, the judge's
+#                                 perception pass alone, prompt-size scaling
+#                                 and client concurrency (5-repetition
+#                                 medians)
 #
 # Usage: bench/run_benchmarks.sh [build-dir]
 #   BENCH_MIN_TIME=0.01s bench/run_benchmarks.sh   # quick smoke run
@@ -44,15 +50,17 @@ if [[ -n "${min_time}" ]]; then
   bench_args+=("--benchmark_min_time=${min_time}")
 fi
 
+# run_bench <binary> <json out> [extra benchmark flags...]
 run_bench() {
   local name="$1" out="$2"
+  shift 2
   local binary="${build_dir}/${name}"
   if [[ ! -x "${binary}" ]]; then
     echo "error: ${binary} missing (benchmarks disabled at configure time?)" >&2
     exit 1
   fi
   echo "== ${name} -> ${out}"
-  "${binary}" "${bench_args[@]}" \
+  "${binary}" "${bench_args[@]}" "$@" \
     --benchmark_format=console \
     --benchmark_out="${out}" \
     --benchmark_out_format=json
@@ -81,6 +89,11 @@ run_bench perf_vm "${script_dir}/BENCH_vm.json"
 run_bench perf_faults "${script_dir}/BENCH_faults.json"
 run_bench perf_obs "${script_dir}/BENCH_obs.json"
 run_bench perf_serve "${script_dir}/BENCH_serve.json"
+# The per-layer benches record medians of 5 repetitions (the later
+# --benchmark_repetitions overrides the default of 1).
+layer_args=(--benchmark_repetitions=5 --benchmark_report_aggregates_only=true)
+run_bench perf_frontend "${script_dir}/BENCH_frontend.json" "${layer_args[@]}"
+run_bench perf_llm "${script_dir}/BENCH_llm.json" "${layer_args[@]}"
 
 # Warm-start persistence check: run perf_cache twice against ONE cache
 # file. The first invocation starts cold (the file is deleted here) and
@@ -95,8 +108,9 @@ LLM4VV_BENCH_CACHE_FILE="${warm_cache_file}" \
   run_bench perf_cache "${script_dir}/BENCH_cache.json"
 rm -f "${warm_cache_file}"
 
-# Headline numbers: trie-vs-naive encode speedup, the judge-cache rates,
-# and the batch-size sweep (sim GPU seconds per run vs judge_batch).
+# Headline numbers: trie-vs-naive encode speedup, the per-file front-end
+# and perception medians, the judge-cache rates, and the batch-size sweep
+# (sim GPU seconds per run vs judge_batch).
 if command -v jq >/dev/null 2>&1; then
   echo
   jq -r '
@@ -108,6 +122,20 @@ if command -v jq >/dev/null 2>&1; then
     "naive \($naive / 1e6 | floor) MB/s, " +
     "speedup \($trie / $naive * 100 | floor / 100)x"
   ' "${script_dir}/BENCH_tokenizer.json"
+  jq -r '
+    .benchmarks[]
+    | select(.aggregate_name == "median")
+    | select(.run_name | startswith("BM_Compile"))
+    | "\(.run_name) median: \(.items_per_second | floor) files/s " +
+      "(\(1e6 / .items_per_second * 10 | floor / 10) us/file)"
+  ' "${script_dir}/BENCH_frontend.json"
+  jq -r '
+    .benchmarks[]
+    | select(.aggregate_name == "median")
+    | select(.run_name == "BM_Perceive" or .run_name == "BM_SimulatedJudgeCall")
+    | "\(.run_name) median: " +
+      "\(1e6 / .items_per_second * 10 | floor / 10) us per prompt"
+  ' "${script_dir}/BENCH_llm.json"
   jq -r '
     .benchmarks[]
     | select(.name | startswith("BM_PipelineJudgeCache"))

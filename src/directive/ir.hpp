@@ -1,5 +1,6 @@
 #pragma once
 
+#include <deque>
 #include <string>
 #include <vector>
 
@@ -34,6 +35,20 @@ struct DirectiveIR {
 /// balance; name/clause *validity* is the validator's job, not the
 /// parser's.
 DirectiveIR parse_directive(const std::string& pragma_text);
+
+/// The pragma lines of one front-end pass, each parsed once. The parser's
+/// construct callback, validate_program and vm::lower all read the same
+/// DirectiveIR instead of parsing the line again. Owned by the pass and
+/// dropped with it.
+class DirectiveTable {
+ public:
+  /// The parse of `pragma_text`; parsed on the first request for that text.
+  /// References stay valid for the table's lifetime.
+  const DirectiveIR& parse(const std::string& pragma_text);
+
+ private:
+  std::deque<DirectiveIR> parsed_;
+};
 
 /// Join the name words with spaces ("target teams distribute").
 std::string directive_name(const DirectiveIR& dir);

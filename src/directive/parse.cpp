@@ -53,7 +53,6 @@ DirectiveIR parse_directive(const std::string& pragma_text) {
   // or once any clause has been seen — everything is a clause. The split of
   // bare words between "composite name" and "argumentless clauses" is
   // finished by the validator against the spec tables; here we only collect.
-  std::vector<std::string> words;
   std::vector<ClauseIR> items;  // word(+arg) sequence in order
   std::size_t pos = 0;
   while (pos < text.size()) {
@@ -106,19 +105,26 @@ DirectiveIR parse_directive(const std::string& pragma_text) {
   while (name_end < items.size() && !items[name_end].has_argument) {
     ++name_end;
   }
+  dir.name_words.reserve(name_end);
   for (std::size_t w = 0; w < name_end; ++w) {
-    words.push_back(items[w].name);
+    dir.name_words.push_back(std::move(items[w].name));
   }
-  for (std::size_t c = name_end; c < items.size(); ++c) {
-    dir.clauses.push_back(std::move(items[c]));
-  }
-  dir.name_words = std::move(words);
+  items.erase(items.begin(),
+              items.begin() + static_cast<std::ptrdiff_t>(name_end));
+  dir.clauses = std::move(items);
   if (dir.name_words.empty() && dir.clauses.empty()) {
     dir.parse_error = "directive has no name";
     return dir;
   }
   dir.parse_ok = true;
   return dir;
+}
+
+const DirectiveIR& DirectiveTable::parse(const std::string& pragma_text) {
+  for (const DirectiveIR& dir : parsed_) {
+    if (dir.raw == pragma_text) return dir;
+  }
+  return parsed_.emplace_back(parse_directive(pragma_text));
 }
 
 std::string directive_name(const DirectiveIR& dir) {

@@ -1,5 +1,7 @@
 #include "directive/validator.hpp"
 
+#include <string_view>
+
 #include "support/strings.hpp"
 
 namespace llm4vv::directive {
@@ -59,7 +61,7 @@ void check_variables(const ClauseIR& clause, const ValidatorOptions& options,
                      int line, DiagnosticEngine& diags) {
   if (!options.is_declared) return;
   // Clauses whose argument is not a var-list are skipped.
-  static const char* kNonVarClauses[] = {
+  static constexpr std::string_view kNonVarClauses[] = {
       "if", "num_threads", "num_gangs", "num_workers", "vector_length",
       "collapse", "schedule", "safelen", "simdlen", "device", "device_num",
       "device_type", "dtype", "default", "defaultmap", "proc_bind", "bind",
@@ -68,7 +70,7 @@ void check_variables(const ClauseIR& clause, const ValidatorOptions& options,
       "wait", "async", "sizes", "severity", "message", "when", "filter",
       "ordered",
   };
-  for (const char* skip : kNonVarClauses) {
+  for (const std::string_view skip : kNonVarClauses) {
     if (clause.name == skip) return;
   }
   for (const auto& var : clause_variables(clause)) {
@@ -132,17 +134,7 @@ DirectiveValidation validate_directive(const DirectiveIR& dir,
     result.ok = false;
   }
 
-  // Words past the matched composite name are argument-less clauses
-  // (e.g. `loop gang vector` -> clauses gang, vector).
-  std::vector<ClauseIR> clauses;
-  for (std::size_t i = consumed; i < dir.name_words.size(); ++i) {
-    ClauseIR c;
-    c.name = dir.name_words[i];
-    clauses.push_back(std::move(c));
-  }
-  for (const auto& c : dir.clauses) clauses.push_back(c);
-
-  for (const auto& clause : clauses) {
+  const auto check_clause = [&](const ClauseIR& clause) {
     const ClauseSpec* cs = SpecRegistry::find_clause(*spec, clause.name);
     if (cs == nullptr) {
       diags.error(DiagCode::kBadClause, line, 1,
@@ -150,7 +142,7 @@ DirectiveValidation validate_directive(const DirectiveIR& dir,
                       "' is not valid on directive '" + directive_name(dir) +
                       "'");
       result.ok = false;
-      continue;
+      return;
     }
     if (cs->min_version > options.supported_version) {
       diags.error(DiagCode::kVersionGate, line, 1,
@@ -158,25 +150,25 @@ DirectiveValidation validate_directive(const DirectiveIR& dir,
                       "' requires " +
                       version_string(options.flavor, cs->min_version));
       result.ok = false;
-      continue;
+      return;
     }
     if (cs->arg == ArgPolicy::kRequired && !clause.has_argument) {
       diags.error(DiagCode::kBadClauseArg, line, 1,
                   "clause '" + clause.name + "' requires an argument");
       result.ok = false;
-      continue;
+      return;
     }
     if (cs->arg == ArgPolicy::kNone && clause.has_argument) {
       diags.error(DiagCode::kBadClauseArg, line, 1,
                   "clause '" + clause.name + "' does not take an argument");
       result.ok = false;
-      continue;
+      return;
     }
     if (clause.has_argument && clause.argument.empty()) {
       diags.error(DiagCode::kBadClauseArg, line, 1,
                   "clause '" + clause.name + "' has an empty argument");
       result.ok = false;
-      continue;
+      return;
     }
     if (clause.name == "reduction" && clause.has_argument) {
       check_reduction(clause, options, line, diags);
@@ -187,7 +179,16 @@ DirectiveValidation validate_directive(const DirectiveIR& dir,
     if (clause.has_argument) {
       check_variables(clause, options, line, diags);
     }
+  };
+
+  // Words past the matched composite name are argument-less clauses
+  // (e.g. `loop gang vector` -> clauses gang, vector); they come first.
+  for (std::size_t i = consumed; i < dir.name_words.size(); ++i) {
+    ClauseIR bare;
+    bare.name = dir.name_words[i];
+    check_clause(bare);
   }
+  for (const auto& clause : dir.clauses) check_clause(clause);
 
   result.ok = result.ok && !diags.has_errors();
   return result;
@@ -196,6 +197,14 @@ DirectiveValidation validate_directive(const DirectiveIR& dir,
 int validate_program(const frontend::Program& program,
                      const ValidatorOptions& options,
                      frontend::DiagnosticEngine& diags) {
+  DirectiveTable directives;
+  return validate_program(program, options, diags, directives);
+}
+
+int validate_program(const frontend::Program& program,
+                     const ValidatorOptions& options,
+                     frontend::DiagnosticEngine& diags,
+                     DirectiveTable& directives) {
   // Resolve clause variables against the program-wide symbol table. This is
   // coarser than true scope resolution (any declared name anywhere counts)
   // but matches what the mutations can disturb: a deleted declaration
@@ -212,7 +221,7 @@ int validate_program(const frontend::Program& program,
 
   int failures = 0;
   for (const frontend::Stmt* pragma : program.pragmas) {
-    const DirectiveIR dir = parse_directive(pragma->pragma_text);
+    const DirectiveIR& dir = directives.parse(pragma->pragma_text);
     const std::size_t errors_before = diags.error_count();
     const auto validation = validate_directive(dir, opts, pragma->line, diags);
     const bool had_new_errors = diags.error_count() > errors_before;
@@ -241,13 +250,24 @@ int validate_program(const frontend::Program& program,
   return failures;
 }
 
-bool pragma_takes_statement(const std::string& pragma_text) {
-  const DirectiveIR dir = parse_directive(pragma_text);
+bool opens_construct(const DirectiveIR& dir) {
   if (!dir.parse_ok) return false;
   const SpecRegistry& registry = registry_for(dir.flavor);
   std::size_t consumed = 0;
   const DirectiveSpec* spec = registry.match(dir.name_words, consumed);
   return spec != nullptr && spec->is_construct;
+}
+
+bool pragma_takes_statement(const std::string& pragma_text) {
+  return opens_construct(parse_directive(pragma_text));
+}
+
+frontend::ParserOptions parser_options(DirectiveTable& directives) {
+  frontend::ParserOptions options;
+  options.pragma_takes_statement = [&directives](const std::string& text) {
+    return opens_construct(directives.parse(text));
+  };
+  return options;
 }
 
 }  // namespace llm4vv::directive

@@ -7,6 +7,7 @@
 #include "directive/spec.hpp"
 #include "frontend/ast.hpp"
 #include "frontend/diagnostics.hpp"
+#include "frontend/parser.hpp"
 
 namespace llm4vv::directive {
 
@@ -42,14 +43,27 @@ DirectiveValidation validate_directive(const DirectiveIR& dir,
                                        frontend::DiagnosticEngine& diags);
 
 /// Validate every pragma in a parsed program (the compile-stage entry
-/// point). Returns the number of directives that failed.
+/// point), reading each line's parse from `directives`. Returns the number
+/// of directives that failed.
+int validate_program(const frontend::Program& program,
+                     const ValidatorOptions& options,
+                     frontend::DiagnosticEngine& diags,
+                     DirectiveTable& directives);
+
+/// validate_program over a table of its own.
 int validate_program(const frontend::Program& program,
                      const ValidatorOptions& options,
                      frontend::DiagnosticEngine& diags);
 
+/// True when this directive opens a construct that owns the next statement.
+bool opens_construct(const DirectiveIR& dir);
+
 /// True when this pragma line opens a construct that owns the next
-/// statement — wired into ParserOptions::pragma_takes_statement by the
-/// toolchain.
+/// statement (opens_construct() of the line parsed on the spot).
 bool pragma_takes_statement(const std::string& pragma_text);
+
+/// Parser options whose construct callback reads `directives`, so the
+/// pass that owns the table parses each pragma line once.
+frontend::ParserOptions parser_options(DirectiveTable& directives);
 
 }  // namespace llm4vv::directive

@@ -71,15 +71,17 @@ std::span<const BuiltinConstant> builtin_constants() noexcept {
 }
 
 const BuiltinInfo* find_builtin(std::string_view name) noexcept {
+  if (name.empty()) return nullptr;
   for (const auto& b : kBuiltins) {
-    if (name == b.name) return &b;
+    if (b.name[0] == name[0] && name == b.name) return &b;
   }
   return nullptr;
 }
 
 const BuiltinConstant* find_builtin_constant(std::string_view name) noexcept {
+  if (name.empty()) return nullptr;
   for (const auto& c : kConstants) {
-    if (name == c.name) return &c;
+    if (c.name[0] == name[0] && name == c.name) return &c;
   }
   return nullptr;
 }

@@ -1,7 +1,9 @@
 #include "frontend/lexer.hpp"
 
+#include <algorithm>
 #include <array>
 #include <cctype>
+#include <utility>
 
 #include "support/strings.hpp"
 
@@ -9,21 +11,54 @@ namespace llm4vv::frontend {
 
 namespace {
 
-constexpr std::array kKeywords = {
-    "int",      "long",   "float",    "double", "char",   "void",
-    "unsigned", "signed", "short",    "bool",   "if",     "else",
-    "while",    "for",    "do",       "return", "break",  "continue",
-    "const",    "static", "sizeof",   "struct", "true",   "false",
-    "switch",   "case",   "default",  "goto",   "extern", "inline",
-    "restrict", "new",    "delete",   "auto",
+struct KeywordEntry {
+  std::string_view spelling;
+  Keyword id;
 };
+
+/// The keyword table sorted by spelling length, so a lookup compares only
+/// the few keywords as long as the word.
+constexpr auto kKeywords = [] {
+  std::array table = {
+#define LLM4VV_KEYWORD_ENTRY(name, spelling) \
+  KeywordEntry{spelling, Keyword::name},
+      LLM4VV_KEYWORDS(LLM4VV_KEYWORD_ENTRY)
+#undef LLM4VV_KEYWORD_ENTRY
+  };
+  std::sort(table.begin(), table.end(),
+            [](const KeywordEntry& a, const KeywordEntry& b) {
+              return a.spelling.size() < b.spelling.size();
+            });
+  return table;
+}();
+
+Keyword keyword_of(std::string_view word) noexcept {
+  const auto shorter = [](const KeywordEntry& e, std::size_t n) {
+    return e.spelling.size() < n;
+  };
+  auto it = std::lower_bound(kKeywords.begin(), kKeywords.end(), word.size(),
+                             shorter);
+  for (; it != kKeywords.end() && it->spelling.size() == word.size(); ++it) {
+    if (it->spelling == word) return it->id;
+  }
+  return Keyword::kNone;
+}
+
+bool is_space(char c) { return std::isspace(static_cast<unsigned char>(c)); }
+
+bool ident_start(char c) {
+  return std::isalpha(static_cast<unsigned char>(c)) || c == '_';
+}
+bool ident_char(char c) {
+  return std::isalnum(static_cast<unsigned char>(c)) || c == '_';
+}
 
 class Cursor {
  public:
-  Cursor(std::string_view src, DiagnosticEngine& diags)
-      : src_(src), diags_(diags) {}
+  explicit Cursor(std::string_view src) : src_(src) {}
 
   bool at_end() const { return pos_ >= src_.size(); }
+  std::size_t offset() const { return pos_; }
   char peek(std::size_t ahead = 0) const {
     return pos_ + ahead < src_.size() ? src_[pos_ + ahead] : '\0';
   }
@@ -42,14 +77,31 @@ class Cursor {
     advance();
     return true;
   }
+  /// Consumes the next `n` characters, none of which is a newline, and
+  /// returns them.
+  std::string_view take(std::size_t n) {
+    const std::string_view span = src_.substr(pos_, n);
+    pos_ += span.size();
+    column_ += static_cast<int>(span.size());
+    return span;
+  }
+  /// Length of the run of identifier characters at the cursor.
+  std::size_t identifier_length() const {
+    std::size_t n = 0;
+    while (pos_ + n < src_.size() && ident_char(src_[pos_ + n])) ++n;
+    return n;
+  }
+  /// Characters before the next newline (or the end of the source).
+  std::string_view rest_of_line() const {
+    const std::size_t nl = src_.find('\n', pos_);
+    return src_.substr(pos_, nl == std::string_view::npos ? nl : nl - pos_);
+  }
 
   int line() const { return line_; }
   int column() const { return column_; }
-  DiagnosticEngine& diags() { return diags_; }
 
  private:
   std::string_view src_;
-  DiagnosticEngine& diags_;
   std::size_t pos_ = 0;
   int line_ = 1;
   int column_ = 1;
@@ -58,6 +110,12 @@ class Cursor {
 /// Reads to end of line, folding `\`-continuations; cursor ends after the
 /// newline. Returns the collected text without the trailing newline.
 std::string read_logical_line(Cursor& cur) {
+  const std::string_view line = cur.rest_of_line();
+  if (line.find_first_of("\\\r") == std::string_view::npos) {
+    std::string text(cur.take(line.size()));
+    cur.match('\n');
+    return text;
+  }
   std::string text;
   while (!cur.at_end()) {
     const char c = cur.peek();
@@ -82,32 +140,43 @@ std::string read_logical_line(Cursor& cur) {
   return text;
 }
 
-bool ident_start(char c) {
-  return std::isalpha(static_cast<unsigned char>(c)) || c == '_';
-}
-bool ident_char(char c) {
-  return std::isalnum(static_cast<unsigned char>(c)) || c == '_';
+/// The next whitespace-delimited word of `text` at or after `pos` (empty
+/// when none is left); `pos` ends just past it.
+std::string_view next_word(std::string_view text, std::size_t& pos) {
+  while (pos < text.size() && is_space(text[pos])) ++pos;
+  const std::size_t start = pos;
+  while (pos < text.size() && !is_space(text[pos])) ++pos;
+  return text.substr(start, pos - start);
 }
 
 }  // namespace
 
 bool is_keyword(std::string_view word) noexcept {
-  for (const char* kw : kKeywords) {
-    if (word == kw) return true;
-  }
-  return false;
+  return keyword_of(word) != Keyword::kNone;
 }
 
 LexOutput lex(std::string_view source, DiagnosticEngine& diags) {
   LexOutput out;
-  Cursor cur(source, diags);
+  // V&V files average a little over 4 source bytes per token.
+  out.tokens.reserve(source.size() / 4 + 1);
+  Cursor cur(source);
+  // Each macro's replacement, lexed on its first use after its definition
+  // and keyed by the name as stored in `out.defines`.
+  std::map<std::string_view, std::vector<Token>> expansions;
   // Stray-character reporting is capped so pathological inputs (binary
   // garbage, heavily mutated files) cannot flood the diagnostic engine.
   int stray_reports = 0;
   constexpr int kMaxStrayReports = 20;
 
-  const auto push = [&](TokenKind kind, std::string text, int line, int col) {
-    out.tokens.push_back(Token{kind, std::move(text), line, col});
+  // Tokens are built in place: no temporary Token or string to move.
+  const auto push = [&](TokenKind kind, auto&& text, int line,
+                        int col) -> Token& {
+    Token& tok = out.tokens.emplace_back();
+    tok.kind = kind;
+    tok.text = std::forward<decltype(text)>(text);
+    tok.line = line;
+    tok.column = col;
+    return tok;
   };
 
   while (!cur.at_end()) {
@@ -123,7 +192,7 @@ LexOutput lex(std::string_view source, DiagnosticEngine& diags) {
 
     // Comments.
     if (c == '/' && cur.peek(1) == '/') {
-      while (!cur.at_end() && cur.peek() != '\n') cur.advance();
+      cur.take(cur.rest_of_line().size());
       continue;
     }
     if (c == '/' && cur.peek(1) == '*') {
@@ -146,25 +215,34 @@ LexOutput lex(std::string_view source, DiagnosticEngine& diags) {
       continue;
     }
 
-    // Preprocessor-ish lines.
+    // Preprocessor-ish lines. The text always starts with '#'.
     if (c == '#') {
       const std::string text = read_logical_line(cur);
-      const auto words = support::split_whitespace(text);
-      if (words.empty()) continue;
-      if (support::starts_with(support::trim(text), "#pragma") ||
-          (words[0] == "#" && words.size() > 1 && words[1] == "pragma")) {
+      std::size_t at = 0;
+      const std::string_view first = next_word(text, at);
+      if (support::starts_with(text, "#pragma") ||
+          (first == "#" && next_word(text, at) == "pragma")) {
         push(TokenKind::kPragma, text, line, col);
-      } else if (support::starts_with(support::trim(text), "#include")) {
+      } else if (support::starts_with(text, "#include")) {
         push(TokenKind::kHashInclude, text, line, col);
-      } else if (support::starts_with(support::trim(text), "#define")) {
-        // Object-like macro: "#define NAME replacement...".
-        if (words.size() >= 3) {
-          std::string value;
-          for (std::size_t i = 2; i < words.size(); ++i) {
-            if (i > 2) value += ' ';
-            value += words[i];
+      } else if (support::starts_with(text, "#define")) {
+        // Object-like macro: "#define NAME replacement...", the replacement
+        // words joined by single spaces.
+        const std::string_view name = next_word(text, at);
+        std::string value;
+        for (std::string_view word = next_word(text, at); !word.empty();
+             word = next_word(text, at)) {
+          if (!value.empty()) value += ' ';
+          value += word;
+        }
+        if (!value.empty()) {
+          const auto macro = out.defines.find(name);
+          if (macro == out.defines.end()) {
+            out.defines.emplace(name, std::move(value));
+          } else {
+            macro->second = std::move(value);
+            expansions.erase(macro->first);
           }
-          out.defines[words[1]] = value;
         }
       }
       // #ifdef/#endif/#undef etc. are skipped: the corpus never emits them,
@@ -174,24 +252,30 @@ LexOutput lex(std::string_view source, DiagnosticEngine& diags) {
 
     // Identifiers / keywords (with macro substitution).
     if (ident_start(c)) {
-      std::string word;
-      while (!cur.at_end() && ident_char(cur.peek())) word += cur.advance();
-      const auto macro = out.defines.find(word);
+      const std::string_view word = cur.take(cur.identifier_length());
+      const auto macro =
+          out.defines.empty() ? out.defines.end() : out.defines.find(word);
       if (macro != out.defines.end()) {
-        // One-level substitution: re-lex the replacement in isolation.
-        DiagnosticEngine sub_diags;
-        LexOutput sub = lex(macro->second, sub_diags);
-        for (auto& tok : sub.tokens) {
-          if (tok.kind == TokenKind::kEof) break;
-          tok.line = line;
-          tok.column = col;
-          out.tokens.push_back(std::move(tok));
+        // One-level substitution: the replacement is lexed in isolation,
+        // its diagnostics discarded.
+        const auto [expansion, fresh] = expansions.try_emplace(macro->first);
+        if (fresh) {
+          DiagnosticEngine discarded;
+          expansion->second = lex(macro->second, discarded).tokens;
+          expansion->second.pop_back();  // kEof
+        }
+        for (const Token& tok : expansion->second) {
+          out.tokens.push_back(tok);
+          out.tokens.back().line = line;
+          out.tokens.back().column = col;
         }
         continue;
       }
-      const bool keyword = is_keyword(word);
-      push(keyword ? TokenKind::kKeyword : TokenKind::kIdentifier,
-           std::move(word), line, col);
+      const Keyword keyword = keyword_of(word);
+      Token& tok = push(keyword == Keyword::kNone ? TokenKind::kIdentifier
+                                                  : TokenKind::kKeyword,
+                        word, line, col);
+      tok.keyword = keyword;
       continue;
     }
 
@@ -297,9 +381,9 @@ LexOutput lex(std::string_view source, DiagnosticEngine& diags) {
     }
 
     // Punctuators.
+    std::string_view text = source.substr(cur.offset(), 1);
     cur.advance();
     TokenKind kind;
-    std::string text(1, c);
     switch (c) {
       case '(': kind = TokenKind::kLParen; break;
       case ')': kind = TokenKind::kRParen; break;
@@ -368,7 +452,7 @@ LexOutput lex(std::string_view source, DiagnosticEngine& diags) {
         }
         continue;
     }
-    push(kind, std::move(text), line, col);
+    push(kind, text, line, col);
   }
 
   push(TokenKind::kEof, "", cur.line(), cur.column());

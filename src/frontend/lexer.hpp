@@ -15,8 +15,9 @@ struct LexOutput {
   std::vector<Token> tokens;  ///< ends with a kEof token
   /// Object-like macros collected from `#define NAME value` lines; the lexer
   /// substitutes them into subsequent identifier tokens (one level, which is
-  /// all the V&V corpus uses).
-  std::map<std::string, std::string> defines;
+  /// all the V&V corpus uses). A redefinition replaces the value from that
+  /// line on.
+  std::map<std::string, std::string, std::less<>> defines;
 };
 
 /// Hand-written C/C++ lexer for the V&V test subset.
@@ -27,11 +28,12 @@ struct LexOutput {
 ///    the directive validator both see the exact source spelling;
 ///  - `#include` lines become kHashInclude tokens and are otherwise ignored
 ///    (the VM's runtime library is implicitly available);
-///  - `#define NAME token` object-like macros are substituted;
+///  - `#define NAME token` object-like macros are substituted (each
+///    replacement is lexed once per definition, not once per use);
 ///  - unterminated strings/comments produce kUnterminated diagnostics.
 LexOutput lex(std::string_view source, DiagnosticEngine& diags);
 
-/// True if `word` is a keyword of the C/C++ subset.
+/// True if `word` is a keyword of the C/C++ subset (see LLM4VV_KEYWORDS).
 bool is_keyword(std::string_view word) noexcept;
 
 }  // namespace llm4vv::frontend

@@ -15,12 +15,16 @@ struct ParseError {};
 struct TooManyErrors {};
 
 bool is_type_keyword(const Token& tok) {
-  if (tok.kind != TokenKind::kKeyword) return false;
-  return tok.is("int") || tok.is("long") || tok.is("float") ||
-         tok.is("double") || tok.is("char") || tok.is("void") ||
-         tok.is("bool") || tok.is("unsigned") || tok.is("signed") ||
-         tok.is("short") || tok.is("const") || tok.is("static") ||
-         tok.is("extern") || tok.is("inline");
+  switch (tok.keyword) {
+    case Keyword::kInt: case Keyword::kLong: case Keyword::kFloat:
+    case Keyword::kDouble: case Keyword::kChar: case Keyword::kVoid:
+    case Keyword::kBool: case Keyword::kUnsigned: case Keyword::kSigned:
+    case Keyword::kShort: case Keyword::kConst: case Keyword::kStatic:
+    case Keyword::kExtern: case Keyword::kInline:
+      return true;
+    default:
+      return false;
+  }
 }
 
 class Parser {
@@ -117,37 +121,39 @@ class Parser {
   Type parse_type_specifier() {
     Type type;
     bool saw_base = false;
-    bool is_unsigned = false;
     int longs = 0;
-    for (;;) {
-      const Token& tok = peek();
-      if (tok.kind != TokenKind::kKeyword) break;
-      if (tok.is("const") || tok.is("static") || tok.is("extern") ||
-          tok.is("inline") || tok.is("restrict") || tok.is("signed")) {
-        advance();
-        continue;
+    const auto base = [&](BaseType b) {
+      type.base = b;
+      saw_base = true;
+    };
+    // `unsigned` collapses onto the signed 64-bit model, so it and the
+    // qualifiers are consumed without effect.
+    for (bool more = true; more;) {
+      switch (peek().keyword) {
+        case Keyword::kConst: case Keyword::kStatic: case Keyword::kExtern:
+        case Keyword::kInline: case Keyword::kRestrict: case Keyword::kSigned:
+        case Keyword::kUnsigned:
+          break;
+        case Keyword::kLong: ++longs; saw_base = true; break;
+        case Keyword::kShort: saw_base = true; break;
+        case Keyword::kInt: base(BaseType::kInt); break;
+        case Keyword::kChar: base(BaseType::kChar); break;
+        case Keyword::kBool: base(BaseType::kBool); break;
+        case Keyword::kFloat: base(BaseType::kFloat); break;
+        case Keyword::kDouble: base(BaseType::kDouble); break;
+        case Keyword::kVoid: base(BaseType::kVoid); break;
+        default: more = false; continue;
       }
-      if (tok.is("unsigned")) { is_unsigned = true; advance(); continue; }
-      if (tok.is("long")) { ++longs; saw_base = true; advance(); continue; }
-      if (tok.is("short")) { saw_base = true; advance(); continue; }
-      if (tok.is("int")) { type.base = BaseType::kInt; saw_base = true; advance(); continue; }
-      if (tok.is("char")) { type.base = BaseType::kChar; saw_base = true; advance(); continue; }
-      if (tok.is("bool")) { type.base = BaseType::kBool; saw_base = true; advance(); continue; }
-      if (tok.is("float")) { type.base = BaseType::kFloat; saw_base = true; advance(); continue; }
-      if (tok.is("double")) { type.base = BaseType::kDouble; saw_base = true; advance(); continue; }
-      if (tok.is("void")) { type.base = BaseType::kVoid; saw_base = true; advance(); continue; }
-      break;
+      advance();
     }
     if (longs > 0 && type.base == BaseType::kInt) type.base = BaseType::kLong;
-    (void)is_unsigned;  // unsigned collapses onto the signed 64-bit model
     if (!saw_base) {
       error_here("expected a type specifier");
       throw ParseError{};
     }
     while (match(TokenKind::kStar)) {
       ++type.pointer_depth;
-      while (peek().kind == TokenKind::kKeyword &&
-             (peek().is("const") || peek().is("restrict"))) {
+      while (peek().is(Keyword::kConst) || peek().is(Keyword::kRestrict)) {
         advance();
       }
     }
@@ -321,11 +327,11 @@ class Parser {
       return at(std::move(stmt));
     }
     if (tok.kind == TokenKind::kKeyword) {
-      if (tok.is("if")) return parse_if();
-      if (tok.is("while")) return parse_while();
-      if (tok.is("do")) return parse_do_while();
-      if (tok.is("for")) return parse_for();
-      if (tok.is("return")) {
+      if (tok.is(Keyword::kIf)) return parse_if();
+      if (tok.is(Keyword::kWhile)) return parse_while();
+      if (tok.is(Keyword::kDo)) return parse_do_while();
+      if (tok.is(Keyword::kFor)) return parse_for();
+      if (tok.is(Keyword::kReturn)) {
         advance();
         auto stmt = std::make_unique<Stmt>();
         stmt->kind = StmtKind::kReturn;
@@ -333,10 +339,11 @@ class Parser {
         expect(TokenKind::kSemicolon, "after return statement");
         return at(std::move(stmt));
       }
-      if (tok.is("break") || tok.is("continue")) {
+      if (tok.is(Keyword::kBreak) || tok.is(Keyword::kContinue)) {
         advance();
         auto stmt = std::make_unique<Stmt>();
-        stmt->kind = tok.is("break") ? StmtKind::kBreak : StmtKind::kContinue;
+        stmt->kind =
+            tok.is(Keyword::kBreak) ? StmtKind::kBreak : StmtKind::kContinue;
         expect(TokenKind::kSemicolon, "after jump statement");
         return at(std::move(stmt));
       }
@@ -378,7 +385,7 @@ class Parser {
     stmt->expr = parse_expression();
     expect(TokenKind::kRParen, "after if condition");
     stmt->then_branch = parse_statement();
-    if (peek().kind == TokenKind::kKeyword && peek().is("else")) {
+    if (peek().is(Keyword::kElse)) {
       advance();
       stmt->else_branch = parse_statement();
     }
@@ -405,7 +412,7 @@ class Parser {
     stmt->line = kw.line;
     stmt->column = kw.column;
     stmt->then_branch = parse_statement();
-    if (!(peek().kind == TokenKind::kKeyword && peek().is("while"))) {
+    if (!peek().is(Keyword::kWhile)) {
       error_here("expected 'while' after do-body");
       throw ParseError{};
     }
@@ -644,7 +651,7 @@ class Parser {
         return make_ident(tok.text, tok.line, tok.column);
       }
       case TokenKind::kKeyword: {
-        if (tok.is("sizeof")) {
+        if (tok.is(Keyword::kSizeof)) {
           advance();
           expect(TokenKind::kLParen, "after sizeof");
           auto expr = std::make_unique<Expr>();
@@ -659,9 +666,9 @@ class Parser {
           expect(TokenKind::kRParen, "after sizeof operand");
           return expr;
         }
-        if (tok.is("true") || tok.is("false")) {
+        if (tok.is(Keyword::kTrue) || tok.is(Keyword::kFalse)) {
           advance();
-          return make_int_literal(tok.is("true") ? 1 : 0, tok.line,
+          return make_int_literal(tok.is(Keyword::kTrue) ? 1 : 0, tok.line,
                                   tok.column);
         }
         error_here("unexpected keyword '" + tok.text + "' in expression");

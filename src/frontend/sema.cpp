@@ -1,8 +1,9 @@
 #include "frontend/sema.hpp"
 
-#include <map>
 #include <optional>
 #include <string>
+#include <string_view>
+#include <utility>
 #include <vector>
 
 #include "frontend/builtins.hpp"
@@ -67,7 +68,22 @@ class Sema {
   }
 
  private:
-  using Scope = std::map<std::string, int>;  // name -> symbol id
+  /// One scope's names and symbol ids, newest last, so a redeclared name
+  /// resolves to its latest symbol. The names are views into the AST, which
+  /// sema annotates but never restructures.
+  class Scope {
+   public:
+    const int* find(std::string_view name) const {
+      for (auto it = names_.rbegin(); it != names_.rend(); ++it) {
+        if (it->first == name) return &it->second;
+      }
+      return nullptr;
+    }
+    void bind(std::string_view name, int id) { names_.emplace_back(name, id); }
+
+   private:
+    std::vector<std::pair<std::string_view, int>> names_;
+  };
 
   int add_symbol(SymbolKind kind, std::string name, Type type,
                  int function_index = -1) {
@@ -76,35 +92,54 @@ class Sema {
     return static_cast<int>(program_.symbols.size()) - 1;
   }
 
+  /// Appends the builtin symbols (functions, then constants) to the symbol
+  /// table. They are not entered into any scope: lookup() falls back to
+  /// them when no declaration in scope matches, which is how a global scope
+  /// holding them would resolve too (declarations shadow builtins).
   void register_builtins() {
+    builtin_base_ = static_cast<int>(program_.symbols.size());
+    // The builtins plus room for a typical file's own declarations.
+    program_.symbols.reserve(program_.symbols.size() +
+                             builtin_functions().size() +
+                             builtin_constants().size() + 32);
     for (const auto& b : builtin_functions()) {
       Type t;
       t.base = b.return_base;
       t.pointer_depth = b.return_pointer;
-      const int id = add_symbol(SymbolKind::kBuiltin, b.name, t);
-      global_scope_[b.name] = id;
+      add_symbol(SymbolKind::kBuiltin, b.name, t);
     }
     for (const auto& c : builtin_constants()) {
       Type t;
       t.base = BaseType::kLong;
-      const int id = add_symbol(SymbolKind::kBuiltin, c.name, t);
-      global_scope_[c.name] = id;
+      add_symbol(SymbolKind::kBuiltin, c.name, t);
     }
+  }
+
+  /// Symbol id of the builtin named `name`, or -1.
+  int builtin_symbol(std::string_view name) const {
+    if (const BuiltinConstant* c = find_builtin_constant(name)) {
+      return builtin_base_ + static_cast<int>(builtin_functions().size()) +
+             static_cast<int>(c - builtin_constants().data());
+    }
+    if (const BuiltinInfo* b = find_builtin(name)) {
+      return builtin_base_ + static_cast<int>(b - builtin_functions().data());
+    }
+    return -1;
   }
 
   void register_functions() {
     for (std::size_t i = 0; i < program_.functions.size(); ++i) {
       auto& fn = program_.functions[i];
-      if (global_scope_.count(fn.name) &&
-          program_.symbols[global_scope_[fn.name]].kind ==
-              SymbolKind::kFunction) {
+      const int* prior = global_scope_.find(fn.name);
+      if (prior != nullptr &&
+          program_.symbols[*prior].kind == SymbolKind::kFunction) {
         diags_.error(DiagCode::kRedefinition, fn.line, fn.column,
                      "redefinition of function '" + fn.name + "'");
         continue;
       }
       const int id = add_symbol(SymbolKind::kFunction, fn.name,
                                 fn.return_type, static_cast<int>(i));
-      global_scope_[fn.name] = id;
+      global_scope_.bind(fn.name, id);
     }
   }
 
@@ -119,9 +154,9 @@ class Sema {
 
   void declare(Declarator& decl, SymbolKind kind) {
     Scope& scope = *scopes_.back();
-    const auto it = scope.find(decl.name);
-    if (it != scope.end() &&
-        program_.symbols[it->second].kind != SymbolKind::kBuiltin) {
+    const int* prior = scope.find(decl.name);
+    if (prior != nullptr &&
+        program_.symbols[*prior].kind != SymbolKind::kBuiltin) {
       diags_.error(DiagCode::kRedefinition, decl.line, decl.column,
                    "redefinition of '" + decl.name + "'");
     }
@@ -142,7 +177,7 @@ class Sema {
       }
     }
     decl.symbol_id = add_symbol(kind, decl.name, decl.type);
-    scope[decl.name] = decl.symbol_id;
+    scope.bind(decl.name, decl.symbol_id);
   }
 
   void analyze_function(FunctionDecl& fn) {
@@ -150,12 +185,12 @@ class Sema {
     scopes_.push_back(&global_scope_);
     scopes_.push_back(&fn_scope);
     for (auto& param : fn.params) {
-      if (fn_scope.count(param.name)) {
+      if (fn_scope.find(param.name) != nullptr) {
         diags_.error(DiagCode::kRedefinition, fn.line, fn.column,
                      "duplicate parameter '" + param.name + "'");
       }
       param.symbol_id = add_symbol(SymbolKind::kParam, param.name, param.type);
-      fn_scope[param.name] = param.symbol_id;
+      fn_scope.bind(param.name, param.symbol_id);
     }
     loop_depth_ = 0;
     analyze_stmt(fn.body.get());
@@ -232,10 +267,9 @@ class Sema {
 
   int lookup(const std::string& name) const {
     for (auto it = scopes_.rbegin(); it != scopes_.rend(); ++it) {
-      const auto hit = (*it)->find(name);
-      if (hit != (*it)->end()) return hit->second;
+      if (const int* id = (*it)->find(name)) return *id;
     }
-    return -1;
+    return builtin_symbol(name);
   }
 
   /// Lightweight type of an expression, for pointer/array checks.
@@ -442,6 +476,7 @@ class Sema {
   DiagnosticEngine& diags_;
   Scope global_scope_;
   std::vector<Scope*> scopes_;
+  int builtin_base_ = 0;  ///< symbol id of the first builtin
   int loop_depth_ = 0;
 };
 

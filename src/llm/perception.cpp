@@ -1,5 +1,6 @@
 #include "llm/perception.hpp"
 
+#include <algorithm>
 #include <cctype>
 
 #include "directive/validator.hpp"
@@ -35,55 +36,60 @@ int parse_rc_after(const std::string& prompt, const std::string& marker) {
   return negative ? -value : value;
 }
 
-bool looks_like_fortran(const std::string& code) {
+bool looks_like_fortran(std::string_view code) {
   return support::contains(code, "implicit none") ||
          support::contains(code, "end program") ||
          support::starts_with(support::trim(code), "program ") ||
          support::starts_with(support::trim(code), "! ");
 }
 
+/// Calls `visit` with each line of `code`, trimmed of surrounding whitespace,
+/// until it returns true; returns whether it did.
+template <typename Visit>
+bool any_trimmed_line(std::string_view code, Visit visit) {
+  std::size_t start = 0;
+  while (start < code.size()) {
+    std::size_t end = code.find('\n', start);
+    if (end == std::string_view::npos) end = code.size();
+    if (visit(support::trim(code.substr(start, end - start)))) return true;
+    start = end + 1;
+  }
+  return false;
+}
+
 /// Pointer declarations that are never assigned anywhere in the file: the
 /// textual shadow of a deleted allocation.
-bool find_uninit_pointer(const std::string& code, bool fortran) {
-  const auto lines = support::split_lines(code);
+bool find_uninit_pointer(std::string_view code, bool fortran) {
   if (fortran) {
     // allocatable arrays with no matching allocate().
-    for (const auto& line : lines) {
-      const auto trimmed = support::trim(line);
-      if (!support::contains(trimmed, "allocatable")) continue;
+    return any_trimmed_line(code, [code](std::string_view trimmed) {
+      if (!support::contains(trimmed, "allocatable")) return false;
       const auto names_at = trimmed.find("::");
-      if (names_at == std::string::npos) continue;
-      for (auto name : support::split(std::string(
-               trimmed.substr(names_at + 2)), ',')) {
+      if (names_at == std::string_view::npos) return false;
+      for (const auto& name : support::split(trimmed.substr(names_at + 2),
+                                             ',')) {
         std::string bare(support::trim(name));
         const auto paren = bare.find('(');
         if (paren != std::string::npos) bare = bare.substr(0, paren);
         if (bare.empty()) continue;
         if (!support::contains(code, "allocate(" + bare)) return true;
       }
-    }
-    return false;
+      return false;
+    });
   }
-  for (const auto& line : lines) {
-    const auto trimmed = support::trim(line);
+  return any_trimmed_line(code, [code](std::string_view trimmed) {
     // Pointer declaration without an initializer: "double *name;".
-    if (trimmed.find('*') == std::string::npos) continue;
-    if (support::contains(trimmed, "=")) continue;
-    if (!support::ends_with(trimmed, ";")) continue;
+    if (trimmed.find('*') == std::string_view::npos) return false;
+    if (support::contains(trimmed, "=")) return false;
+    if (!support::ends_with(trimmed, ";")) return false;
     const auto star = trimmed.rfind('*');
-    std::string name(
-        support::trim(trimmed.substr(star + 1,
-                                     trimmed.size() - star - 2)));
-    if (name.empty() ||
-        !std::isalpha(static_cast<unsigned char>(name[0]))) {
-      continue;
+    const std::string name(support::trim(
+        trimmed.substr(star + 1, trimmed.size() - star - 2)));
+    if (name.empty() || !std::isalpha(static_cast<unsigned char>(name[0]))) {
+      return false;
     }
-    if (!support::contains(code, name + " =") &&
-        !support::contains(code, name + " =")) {
-      return true;
-    }
-  }
-  return false;
+    return !support::contains(code, name + " =");
+  });
 }
 
 bool has_return_somewhere(const frontend::Stmt* stmt) {
@@ -99,7 +105,7 @@ bool has_return_somewhere(const frontend::Stmt* stmt) {
 
 }  // namespace
 
-void analyze_code(const std::string& code, Flavor flavor,
+void analyze_code(std::string_view code, Flavor flavor,
                   PromptPerception& out) {
   const bool fortran = looks_like_fortran(code);
 
@@ -111,8 +117,8 @@ void analyze_code(const std::string& code, Flavor flavor,
   if (out.no_directives) return;  // nothing else matters for the verdict
 
   frontend::DiagnosticEngine diags;
-  frontend::ParserOptions popts;
-  popts.pragma_takes_statement = directive::pragma_takes_statement;
+  directive::DirectiveTable directives;
+  const frontend::ParserOptions popts = directive::parser_options(directives);
   frontend::Program program;
   if (fortran) {
     program = frontend::parse_fortran(code, diags, popts);
@@ -126,7 +132,7 @@ void analyze_code(const std::string& code, Flavor flavor,
     directive::ValidatorOptions vopts;
     vopts.flavor = flavor;
     vopts.supported_version = 99;  // the judge reads specs, not a compiler
-    directive::validate_program(program, vopts, diags);
+    directive::validate_program(program, vopts, diags, directives);
   }
 
   for (const auto& diag : diags.diagnostics()) {
@@ -170,6 +176,18 @@ void analyze_code(const std::string& code, Flavor flavor,
   out.logic_mismatch = !(has_fail && has_pass);
 }
 
+std::string_view prompt_code(std::string_view prompt) {
+  // The code block follows the "Here is the code" marker in all prompt
+  // shapes (Listings 2-4), after its colon and any newlines or spaces.
+  const auto marker = prompt.find("Here is the code");
+  if (marker == std::string_view::npos) return prompt;
+  const auto colon = prompt.find(':', marker);
+  if (colon == std::string_view::npos) return {};
+  std::string_view code = prompt.substr(colon + 1);
+  code.remove_prefix(std::min(code.find_first_not_of("\n "), code.size()));
+  return code;
+}
+
 PromptPerception perceive(const std::string& prompt) {
   PromptPerception out;
 
@@ -198,23 +216,7 @@ PromptPerception perceive(const std::string& prompt) {
     out.program_rc = parse_rc_after(prompt, "\nReturn code:");
   }
 
-  // The code block follows the "Here is the code" marker in all prompt
-  // shapes (Listings 2-4).
-  const auto marker = prompt.find("Here is the code");
-  if (marker != std::string::npos) {
-    const auto colon = prompt.find(':', marker);
-    if (colon != std::string::npos) {
-      out.code = prompt.substr(colon + 1);
-      while (!out.code.empty() &&
-             (out.code.front() == '\n' || out.code.front() == ' ')) {
-        out.code.erase(0, 1);
-      }
-    }
-  } else {
-    out.code = prompt;  // degenerate prompt: treat everything as code
-  }
-
-  analyze_code(out.code, out.flavor, out);
+  analyze_code(prompt_code(prompt), out.flavor, out);
   return out;
 }
 

@@ -1,6 +1,7 @@
 #pragma once
 
 #include <string>
+#include <string_view>
 
 #include "frontend/source.hpp"
 #include "llm/model.hpp"
@@ -16,7 +17,6 @@ namespace llm4vv::llm {
 struct PromptPerception {
   PromptStyle style = PromptStyle::kDirectAnalysis;
   frontend::Flavor flavor = frontend::Flavor::kOpenACC;
-  std::string code;
 
   // Tool outputs quoted in agent prompts.
   bool has_tool_info = false;
@@ -39,12 +39,16 @@ struct PromptPerception {
   }
 };
 
+/// The code block embedded in a judge prompt, as a view into `prompt`; the
+/// whole prompt when it has no "Here is the code" marker.
+std::string_view prompt_code(std::string_view prompt);
+
 /// Parse a judge prompt (any of the Listings 1-4 shapes built by
 /// judge/prompt.cpp) into a PromptPerception.
 PromptPerception perceive(const std::string& prompt);
 
 /// Evidence extraction on a bare code string (exposed for unit tests).
-void analyze_code(const std::string& code, frontend::Flavor flavor,
+void analyze_code(std::string_view code, frontend::Flavor flavor,
                   PromptPerception& out);
 
 }  // namespace llm4vv::llm

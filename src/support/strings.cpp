@@ -89,8 +89,10 @@ bool contains(std::string_view haystack, std::string_view needle) noexcept {
 bool icontains(std::string_view haystack, std::string_view needle) noexcept {
   if (needle.empty()) return true;
   if (needle.size() > haystack.size()) return false;
+  // ASCII only, as documented: inline instead of the locale-aware
+  // std::tolower call per byte.
   const auto lower = [](char c) {
-    return static_cast<char>(std::tolower(static_cast<unsigned char>(c)));
+    return c >= 'A' && c <= 'Z' ? static_cast<char>(c - 'A' + 'a') : c;
   };
   for (std::size_t i = 0; i + needle.size() <= haystack.size(); ++i) {
     bool match = true;

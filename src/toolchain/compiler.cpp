@@ -52,6 +52,19 @@ bool uses_quirky_feature(const std::string& content) {
          content.find("!$omp") != std::string::npos;
 }
 
+std::uint64_t identity_from(std::uint64_t content_hash,
+                            const frontend::SourceFile& file) noexcept {
+  // Everything about the *file* that can change a compile's outcome: the
+  // content (obviously), the language (selects the Fortran vs C front-end),
+  // and the name (rendered into every persona diagnostic, so two identical
+  // files under different names must not share cached stderr). The driver
+  // config is covered separately by driver_fingerprint().
+  std::uint64_t h = support::hash_mix(content_hash,
+                                      support::fnv1a64(file.name));
+  h = support::hash_mix(h, static_cast<std::uint64_t>(file.language));
+  return h;
+}
+
 }  // namespace
 
 CompilerConfig nvc_persona() {
@@ -101,33 +114,27 @@ std::uint64_t driver_fingerprint(const CompilerConfig& config) noexcept {
 }
 
 std::uint64_t file_identity_hash(const frontend::SourceFile& file) noexcept {
-  // Everything about the *file* that can change a compile's outcome: the
-  // content (obviously), the language (selects the Fortran vs C front-end),
-  // and the name (rendered into every persona diagnostic, so two identical
-  // files under different names must not share cached stderr). The driver
-  // config is covered separately by driver_fingerprint().
-  std::uint64_t h = support::fnv1a64(file.content);
-  h = support::hash_mix(h, support::fnv1a64(file.name));
-  h = support::hash_mix(h, static_cast<std::uint64_t>(file.language));
-  return h;
+  return identity_from(support::fnv1a64(file.content), file);
 }
 
 CompileResult CompilerDriver::compile(const frontend::SourceFile& file) const {
-  if (cache_ == nullptr) return compile_uncached(file);
-  const std::uint64_t identity = file_identity_hash(file);
+  if (cache_ == nullptr) return compile_uncached(file, std::nullopt);
+  const std::uint64_t content_hash = support::fnv1a64(file.content);
+  const std::uint64_t identity = identity_from(content_hash, file);
   if (auto hit = cache_->lookup(identity)) return std::move(*hit);
-  CompileResult result = compile_uncached(file);
+  CompileResult result = compile_uncached(file, content_hash);
   cache_->insert(identity, result);
   return result;
 }
 
 CompileResult CompilerDriver::compile_uncached(
-    const frontend::SourceFile& file) const {
+    const frontend::SourceFile& file,
+    std::optional<std::uint64_t> content_hash) const {
   CompileResult result;
   frontend::DiagnosticEngine diags;
 
-  frontend::ParserOptions popts;
-  popts.pragma_takes_statement = directive::pragma_takes_statement;
+  directive::DirectiveTable directives;
+  const frontend::ParserOptions popts = directive::parser_options(directives);
 
   frontend::Program program;
   if (file.language == frontend::Language::kFortran) {
@@ -144,14 +151,15 @@ CompileResult CompilerDriver::compile_uncached(
     directive::ValidatorOptions vopts;
     vopts.flavor = config_.flavor;
     vopts.supported_version = config_.supported_version;
-    directive::validate_program(program, vopts, diags);
+    directive::validate_program(program, vopts, diags, directives);
   }
 
   // Persona strictness quirk on otherwise-valid files (deterministic by
   // content hash, so re-compiling a file gives the same answer).
   if (!diags.has_errors() && config_.strictness_reject_rate > 0.0 &&
       uses_quirky_feature(file.content)) {
-    support::Rng quirk(support::fnv1a64(file.content) ^ config_.quirk_seed);
+    if (!content_hash) content_hash = support::fnv1a64(file.content);
+    support::Rng quirk(*content_hash ^ config_.quirk_seed);
     // Quirky features appear in most files, so rescale the per-file rate.
     if (quirk.chance(config_.strictness_reject_rate)) {
       diags.error(DiagCode::kStrictness, 1, 1,
@@ -179,7 +187,7 @@ CompileResult CompilerDriver::compile_uncached(
   vm::LowerOptions lopts;
   lopts.flavor = config_.flavor;
   result.module =
-      std::make_shared<const vm::Module>(vm::lower(program, lopts));
+      std::make_shared<const vm::Module>(vm::lower(program, lopts, directives));
   result.success = true;
   result.return_code = 0;
   return result;

@@ -1,6 +1,7 @@
 #pragma once
 
 #include <memory>
+#include <optional>
 #include <string>
 
 #include "frontend/diagnostics.hpp"
@@ -95,7 +96,11 @@ class CompilerDriver {
   }
 
  private:
-  CompileResult compile_uncached(const frontend::SourceFile& file) const;
+  /// `content_hash` is fnv1a64(file.content) when the caller already has
+  /// it; otherwise it is computed only if the strictness quirk needs it.
+  CompileResult compile_uncached(
+      const frontend::SourceFile& file,
+      std::optional<std::uint64_t> content_hash) const;
 
   CompilerConfig config_;
   std::shared_ptr<cache::CompileCache> cache_;

@@ -30,15 +30,15 @@ struct Slot {
 
 class Lowerer {
  public:
-  Lowerer(const Program& program, const LowerOptions& options)
-      : program_(program), options_(options) {}
+  Lowerer(const Program& program, const LowerOptions& options,
+          directive::DirectiveTable& directives)
+      : program_(program), options_(options), directives_(directives) {}
 
   Module run() {
     // Chunk i corresponds to function i; the init chunk goes last.
     module_.chunks.resize(program_.functions.size());
 
     assign_global_slots();
-    build_builtin_index();
 
     for (std::size_t i = 0; i < program_.functions.size(); ++i) {
       lower_function(program_.functions[i], module_.chunks[i]);
@@ -55,13 +55,6 @@ class Lowerer {
   void assign_global_slots() {
     for (const auto& decl : program_.globals) {
       globals_[decl.symbol_id] = module_.global_slot_count++;
-    }
-  }
-
-  void build_builtin_index() {
-    std::int32_t index = 0;
-    for (const auto& b : frontend::builtin_functions()) {
-      builtin_index_[b.name] = index++;
     }
   }
 
@@ -600,7 +593,12 @@ class Lowerer {
     const Symbol& sym = symbol(expr->symbol_id);
     for (const auto& arg : expr->args) lower_expr(arg.get());
     if (sym.kind == SymbolKind::kBuiltin) {
-      emit(Op::kCallBuiltin, builtin_index_.at(expr->text),
+      // Sema resolved the call to a builtin function, so the lookup hits;
+      // the runtime numbers builtins in table order.
+      const auto* builtin = frontend::find_builtin(expr->text);
+      emit(Op::kCallBuiltin,
+           static_cast<std::int32_t>(builtin -
+                                     frontend::builtin_functions().data()),
            static_cast<std::int32_t>(expr->args.size()));
       return;
     }
@@ -611,8 +609,7 @@ class Lowerer {
   // -- pragmas --------------------------------------------------------------
 
   void lower_pragma(const Stmt* stmt) {
-    const directive::DirectiveIR dir =
-        directive::parse_directive(stmt->pragma_text);
+    const directive::DirectiveIR& dir = directives_.parse(stmt->pragma_text);
     if (!dir.parse_ok) {
       lower_stmt(stmt->then_branch.get());
       return;
@@ -856,10 +853,10 @@ class Lowerer {
 
   const Program& program_;
   const LowerOptions& options_;
+  directive::DirectiveTable& directives_;
   Module module_;
   std::map<int, std::int32_t> globals_;
   std::map<int, std::int32_t> locals_;
-  std::map<std::string, std::int32_t> builtin_index_;
   std::vector<Instr>* code_ = nullptr;
   std::int32_t slot_count_ = 0;
   std::vector<LoopContext> loop_stack_;
@@ -868,9 +865,15 @@ class Lowerer {
 
 }  // namespace
 
-Module lower(const frontend::Program& program, const LowerOptions& options) {
-  Lowerer lowerer(program, options);
+Module lower(const frontend::Program& program, const LowerOptions& options,
+             directive::DirectiveTable& directives) {
+  Lowerer lowerer(program, options, directives);
   return lowerer.run();
+}
+
+Module lower(const frontend::Program& program, const LowerOptions& options) {
+  directive::DirectiveTable directives;
+  return lower(program, options, directives);
 }
 
 }  // namespace llm4vv::vm

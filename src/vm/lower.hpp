@@ -1,5 +1,6 @@
 #pragma once
 
+#include "directive/ir.hpp"
 #include "frontend/ast.hpp"
 #include "frontend/source.hpp"
 #include "vm/bytecode.hpp"
@@ -30,6 +31,12 @@ struct LowerOptions {
 ///    lower to nothing.
 ///
 /// Precondition: `analyze()` ran without errors; lowering trusts symbol ids.
+/// Pragma lines are read from `directives`, the table of the pass that
+/// parsed and validated `program`.
+Module lower(const frontend::Program& program, const LowerOptions& options,
+             directive::DirectiveTable& directives);
+
+/// lower() over a directive table of its own.
 Module lower(const frontend::Program& program, const LowerOptions& options);
 
 }  // namespace llm4vv::vm

@@ -117,6 +117,102 @@ TEST(LexerTest, DefineWithExpressionBody) {
   EXPECT_NE(std::find(texts.begin(), texts.end(), "4"), texts.end());
 }
 
+TEST(LexerTest, RedefinedMacroTakesItsNewValueFromThatLine) {
+  const auto out = lex_ok("#define N 4\nint a = N;\n#define N 8\nint b = N;");
+  // int a = 4 ; int b = 8 ; <eof>
+  ASSERT_EQ(out.tokens.size(), 11u);
+  EXPECT_EQ(out.tokens[3].kind, TokenKind::kIntLiteral);
+  EXPECT_EQ(out.tokens[3].text, "4");
+  EXPECT_EQ(out.tokens[3].line, 2);
+  EXPECT_EQ(out.tokens[3].column, 9);
+  EXPECT_EQ(out.tokens[8].kind, TokenKind::kIntLiteral);
+  EXPECT_EQ(out.tokens[8].text, "8");
+  EXPECT_EQ(out.tokens[8].line, 4);
+  EXPECT_EQ(out.tokens[8].column, 9);
+  EXPECT_EQ(out.defines.at("N"), "8");
+}
+
+TEST(LexerTest, MultiTokenMacroBodyExpandsAtEveryUse) {
+  const auto out = lex_ok("#define SZ (16 * 4)\nint a = SZ;\nb = SZ + SZ;");
+  std::vector<std::string> texts;
+  for (const auto& tok : out.tokens) texts.push_back(tok.text);
+  const std::vector<std::string> expected = {
+      "int", "a", "=", "(", "16", "*", "4", ")", ";",
+      "b", "=", "(", "16", "*", "4", ")", "+", "(", "16", "*", "4", ")",
+      ";", ""};
+  EXPECT_EQ(texts, expected);
+  // Every expanded token carries the position of the use it replaced.
+  for (std::size_t i = 3; i < 8; ++i) {
+    EXPECT_EQ(out.tokens[i].line, 2) << i;
+    EXPECT_EQ(out.tokens[i].column, 9) << i;
+  }
+  for (std::size_t i = 11; i < 16; ++i) {
+    EXPECT_EQ(out.tokens[i].line, 3) << i;
+    EXPECT_EQ(out.tokens[i].column, 5) << i;
+  }
+  for (std::size_t i = 17; i < 22; ++i) {
+    EXPECT_EQ(out.tokens[i].line, 3) << i;
+    EXPECT_EQ(out.tokens[i].column, 10) << i;
+  }
+  EXPECT_EQ(out.tokens[4].kind, TokenKind::kIntLiteral);
+  EXPECT_EQ(out.tokens[5].kind, TokenKind::kStar);
+}
+
+TEST(LexerTest, MacroBodyDiagnosticsStayDiscarded) {
+  // The replacement `"oops` is an unterminated string when lexed on its
+  // own; that diagnostic belongs to no source line and is dropped, at
+  // every use.
+  DiagnosticEngine diags;
+  const auto out = lex("#define MSG \"oops\nputs(MSG);\nputs(MSG);", diags);
+  EXPECT_TRUE(diags.diagnostics().empty());
+  int strings = 0;
+  for (const auto& tok : out.tokens) {
+    if (tok.kind != TokenKind::kStringLiteral) continue;
+    ++strings;
+    EXPECT_EQ(tok.text, "oops");
+    EXPECT_EQ(tok.column, 6);
+  }
+  EXPECT_EQ(strings, 2);
+}
+
+TEST(LexerTest, EveryKeywordAndNearMiss) {
+  const std::pair<const char*, Keyword> keywords[] = {
+      {"int", Keyword::kInt},         {"long", Keyword::kLong},
+      {"float", Keyword::kFloat},     {"double", Keyword::kDouble},
+      {"char", Keyword::kChar},       {"void", Keyword::kVoid},
+      {"unsigned", Keyword::kUnsigned}, {"signed", Keyword::kSigned},
+      {"short", Keyword::kShort},     {"bool", Keyword::kBool},
+      {"if", Keyword::kIf},           {"else", Keyword::kElse},
+      {"while", Keyword::kWhile},     {"for", Keyword::kFor},
+      {"do", Keyword::kDo},           {"return", Keyword::kReturn},
+      {"break", Keyword::kBreak},     {"continue", Keyword::kContinue},
+      {"const", Keyword::kConst},     {"static", Keyword::kStatic},
+      {"sizeof", Keyword::kSizeof},   {"struct", Keyword::kStruct},
+      {"true", Keyword::kTrue},       {"false", Keyword::kFalse},
+      {"switch", Keyword::kSwitch},   {"case", Keyword::kCase},
+      {"default", Keyword::kDefault}, {"goto", Keyword::kGoto},
+      {"extern", Keyword::kExtern},   {"inline", Keyword::kInline},
+      {"restrict", Keyword::kRestrict}, {"new", Keyword::kNew},
+      {"delete", Keyword::kDelete},   {"auto", Keyword::kAuto},
+  };
+  ASSERT_EQ(std::size(keywords), 34u);
+  for (const auto& [spelling, id] : keywords) {
+    EXPECT_TRUE(is_keyword(spelling)) << spelling;
+    const auto out = lex_ok(spelling);
+    ASSERT_EQ(out.tokens.size(), 2u) << spelling;
+    EXPECT_EQ(out.tokens[0].kind, TokenKind::kKeyword) << spelling;
+    EXPECT_EQ(out.tokens[0].keyword, id) << spelling;
+    EXPECT_EQ(out.tokens[0].text, spelling);
+  }
+  for (const char* near_miss :
+       {"in", "inta", "_int", "Double", "i", "continues", "restrict_"}) {
+    EXPECT_FALSE(is_keyword(near_miss)) << near_miss;
+    const auto out = lex_ok(near_miss);
+    EXPECT_EQ(out.tokens[0].kind, TokenKind::kIdentifier) << near_miss;
+    EXPECT_EQ(out.tokens[0].keyword, Keyword::kNone) << near_miss;
+  }
+}
+
 TEST(LexerTest, MultiCharOperators) {
   const auto out = lex_ok("== != <= >= && || << >> += -= *= /= ++ -- ->");
   const TokenKind kinds[] = {

@@ -117,9 +117,10 @@ TEST(PerceptionTest, DetectsAgentStylesAndToolOutputs) {
 
 TEST(PerceptionTest, ExtractsEmbeddedCode) {
   const auto file = test_file(Flavor::kOpenACC);
-  const auto view = perceive(judge::direct_analysis_prompt(file));
-  EXPECT_NE(view.code.find("#pragma acc"), std::string::npos);
-  EXPECT_NE(view.code.find("int main()"), std::string::npos);
+  const std::string prompt = judge::direct_analysis_prompt(file);
+  const std::string_view code = prompt_code(prompt);
+  EXPECT_NE(code.find("#pragma acc"), std::string::npos);
+  EXPECT_NE(code.find("int main()"), std::string::npos);
 }
 
 TEST(PerceptionTest, ReadsNonZeroReturnCodes) {
