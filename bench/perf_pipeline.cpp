@@ -4,6 +4,9 @@
 //      as simulated GPU seconds spent in the LLM stage (kFilterEarly vs
 //      kRecordAll) across invalid-share sweeps;
 //   2. staged worker pools raise throughput — files/sec vs worker count.
+// Plus the caches that make resubmitted files cheap: the judge's decision
+// memo (BM_PipelineJudgeCache) and the compile cache with its run memo
+// (BM_PipelineRerun).
 #include <benchmark/benchmark.h>
 
 #include "core/llm4vv.hpp"
@@ -220,6 +223,72 @@ BENCHMARK(BM_PipelineJudgeCache)
     ->Arg(4)
     ->Unit(benchmark::kMillisecond)
     ->ArgNames({"dup"});
+
+void BM_PipelineRerun(benchmark::State& state) {
+  // A resubmitted suite in the production configuration: a Part-Two slice
+  // ×8 through kFilterEarly with the compile and judge caches on, fresh
+  // caches every run. Each resubmitted file that compiles is served by the
+  // run memo on its compile-cache entry, so the VM runs once per distinct
+  // module: vm_runs_per_run must equal distinct_modules. One compile and
+  // one execute worker keep that count exact (two first runs of a module
+  // that overlap both compute, by design).
+  constexpr std::size_t kSlice = 256;
+  constexpr std::size_t kRepeats = 8;
+  const auto suite = core::build_part_two_suite(frontend::Flavor::kOpenACC,
+                                                core::ExperimentOptions{});
+  const std::size_t slice = std::min(kSlice, suite.files.size());
+  std::vector<frontend::SourceFile> files;
+  for (std::size_t r = 0; r < kRepeats; ++r) {
+    for (std::size_t i = 0; i < slice; ++i) {
+      files.push_back(suite.files[i].file);
+    }
+  }
+  const auto persona = toolchain::nvc_persona();
+  std::size_t distinct_modules = 0;
+  {
+    const toolchain::CompilerDriver driver(persona);
+    for (std::size_t i = 0; i < slice; ++i) {
+      if (driver.compile(files[i]).success) ++distinct_modules;
+    }
+  }
+  auto client = core::make_simulated_client(2);
+  pipeline::PipelineConfig config;
+  config.mode = pipeline::PipelineMode::kFilterEarly;
+  config.compile_workers = 1;
+  config.execute_workers = 1;
+  config.judge_workers = 2;
+  std::uint64_t executed = 0;
+  std::uint64_t memo_hits = 0;
+  for (auto _ : state) {
+    state.PauseTiming();
+    const pipeline::ValidationPipeline pipe(
+        toolchain::CompilerDriver(
+            persona, std::make_shared<cache::CompileCache>(
+                         cache::CompileCacheConfig{},
+                         toolchain::driver_fingerprint(persona))),
+        toolchain::Executor(),
+        std::make_shared<const judge::Llmj>(client,
+                                            llm::PromptStyle::kAgentDirect),
+        config);
+    state.ResumeTiming();
+    const auto result = pipe.run(files);
+    executed += result.execute_stage.processed;
+    for (const auto& record : result.records) {
+      if (record.exec_cached) ++memo_hits;
+    }
+    benchmark::DoNotOptimize(result.records.data());
+  }
+  const auto runs = static_cast<double>(state.iterations());
+  state.counters["files_per_s"] = benchmark::Counter(
+      static_cast<double>(state.iterations() * files.size()),
+      benchmark::Counter::kIsRate);
+  state.counters["distinct_modules"] = static_cast<double>(distinct_modules);
+  state.counters["vm_runs_per_run"] =
+      static_cast<double>(executed - memo_hits) / runs;
+  state.counters["exec_memo_hits_per_run"] =
+      static_cast<double>(memo_hits) / runs;
+}
+BENCHMARK(BM_PipelineRerun)->UseRealTime()->Unit(benchmark::kMillisecond);
 
 }  // namespace
 

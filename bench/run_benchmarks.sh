@@ -3,6 +3,7 @@
 # next to this script, so every PR leaves a perf trajectory:
 #   bench/BENCH_tokenizer.json  - trie vs naive encode, count, roundtrip
 #   bench/BENCH_pipeline.json   - mode/worker sweeps + judge-cache counters
+#                                 + resubmitted-suite run memo (BM_PipelineRerun)
 #   bench/BENCH_batcher.json    - adaptive-batcher wait-window sweep
 #                                 (cross-worker flush occupancy vs T)
 #   bench/BENCH_cache.json      - persistent warm-start collapse (perf_cache
@@ -141,6 +142,13 @@ if command -v jq >/dev/null 2>&1; then
     | select(.name | startswith("BM_PipelineJudgeCache"))
     | "\(.name): \(.items_per_second / 1e3 | floor / 1000) kfiles/s, " +
       "judge_cache_hit_rate \(.judge_cache_hit_rate * 100 | floor)%"
+  ' "${script_dir}/BENCH_pipeline.json"
+  jq -r '
+    .benchmarks[]
+    | select(.name | startswith("BM_PipelineRerun"))
+    | "\(.name): \(.files_per_s | floor) files/s, " +
+      "vm_runs \(.vm_runs_per_run) of \(.distinct_modules) distinct modules, " +
+      "exec_memo_hits \(.exec_memo_hits_per_run)"
   ' "${script_dir}/BENCH_pipeline.json"
   jq -r '
     .benchmarks[]

@@ -6,12 +6,20 @@
 
 #include "cache/module_codec.hpp"
 #include "support/rng.hpp"
+#include "toolchain/executor.hpp"
 
 namespace llm4vv::cache {
 
 namespace {
 
 constexpr const char* kNamespace = "compile";
+
+/// A fresh run memo for an entry's module (none for a failed compile).
+std::shared_ptr<toolchain::ExecMemo> memo_for(
+    const toolchain::CompileResult& result) {
+  if (result.module == nullptr) return nullptr;
+  return std::make_shared<toolchain::ExecMemo>(result.module);
+}
 
 }  // namespace
 
@@ -96,6 +104,7 @@ void CompileCache::warm_load() {
         }
         auto result = decode_compile_result(fields);
         if (!result) return;  // corrupt record: degrade to a miss
+        result->exec_memo = memo_for(*result);
         entries_.emplace(key, Entry{std::move(*result), check, true});
         order_.push_back(key);
         ++stats_.warm_loaded;
@@ -122,16 +131,18 @@ std::optional<toolchain::CompileResult> CompileCache::lookup(
   return result;
 }
 
-void CompileCache::insert(std::uint64_t identity_hash,
-                          const toolchain::CompileResult& result) {
+std::shared_ptr<toolchain::ExecMemo> CompileCache::insert(
+    std::uint64_t identity_hash, const toolchain::CompileResult& result) {
   const std::uint64_t key = key_for(identity_hash);
   toolchain::CompileResult stored = result;
   stored.cached = false;
   stored.persisted = false;
+  stored.exec_memo = memo_for(stored);
+  auto memo = stored.exec_memo;
   support::MutexLock lock(mutex_);
   if (!entries_.emplace(key, Entry{std::move(stored), identity_hash, false})
            .second) {
-    return;
+    return nullptr;
   }
   order_.push_back(key);
   while (entries_.size() > config_.capacity) {
@@ -139,6 +150,7 @@ void CompileCache::insert(std::uint64_t identity_hash,
     order_.pop_front();
     ++stats_.evictions;
   }
+  return memo;
 }
 
 std::size_t CompileCache::persist() const {

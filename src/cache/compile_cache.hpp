@@ -37,7 +37,10 @@ struct CompileCacheStats {
 /// configuration. Byte-identical files skip the lexer/parser/sema/lower
 /// front-end entirely — within a run, across runs in one process, and
 /// (through the artifact store, which serializes diagnostics and the
-/// lowered bytecode module) across process runs.
+/// lowered bytecode module) across process runs. Each entry with a module
+/// also carries that module's run memo (toolchain::ExecMemo), so a
+/// resubmitted file skips the VM as well; the memo lives and is evicted
+/// with its entry and is never persisted.
 ///
 /// The key mixes the file's identity hash (content + name + language; see
 /// toolchain::file_identity_hash) with a fingerprint of the driver
@@ -60,9 +63,11 @@ class CompileCache {
   std::optional<toolchain::CompileResult> lookup(
       std::uint64_t identity_hash) const;
 
-  /// Memoize a freshly compiled result.
-  void insert(std::uint64_t identity_hash,
-              const toolchain::CompileResult& result);
+  /// Memoize a freshly compiled result. Returns the new entry's run memo
+  /// (see toolchain::ExecMemo) for the caller's copy of the result; null
+  /// for a failed compile or when another caller inserted first.
+  std::shared_ptr<toolchain::ExecMemo> insert(
+      std::uint64_t identity_hash, const toolchain::CompileResult& result);
 
   /// Snapshot every memoized entry into the artifact store (namespace
   /// "compile"). Does not save the store — the caller decides when to hit

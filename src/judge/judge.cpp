@@ -626,17 +626,6 @@ JudgeDecision Llmj::evaluate(const frontend::SourceFile& file,
   return evaluate_async(JudgeRequest{&file, compile, exec}, seed).get();
 }
 
-std::vector<JudgeDecision> Llmj::evaluate_many(
-    const std::vector<JudgeRequest>& batch, std::uint64_t seed) const {
-  std::vector<JudgeDecision> decisions(batch.size());
-  drain(evaluate_async_many(batch, seed),
-        [&](std::size_t i, JudgeOutcome& outcome) {
-          if (outcome.error != nullptr) std::rethrow_exception(outcome.error);
-          decisions[i] = std::move(outcome.decision);
-        });
-  return decisions;
-}
-
 void drain(const std::vector<JudgeFuture>& futures,
            const std::function<void(std::size_t, JudgeOutcome&)>& on_resolved) {
   for (const bool peer_pass : {false, true}) {

@@ -30,8 +30,8 @@ struct JudgeDecision {
   /// prompt assembly, no model call, no simulated GPU time spent).
   bool cached = false;
   /// True when this decision's model call rode the batch submission API
-  /// (an evaluate_many / evaluate_async_many miss). False for sequential
-  /// calls and for copies served from the cache or in-flight dedup.
+  /// (an evaluate_async_many miss). False for sequential calls and for
+  /// copies served from the cache or in-flight dedup.
   bool batched = false;
   /// True when the serving cache entry was warm-loaded from a persistent
   /// artifact store: a previous process run paid for the model call.
@@ -168,9 +168,8 @@ void drain(const std::vector<JudgeFuture>& futures,
 /// client, and parses the FINAL JUDGEMENT protocol. Thread-safe.
 ///
 /// The asynchronous pair evaluate_async()/evaluate_async_many() is the
-/// core; evaluate()/evaluate_many() are thin submit-and-wait wrappers kept
-/// for convenience and backward compatibility (one code path, byte-
-/// identical decisions).
+/// core; evaluate() is a thin submit-and-wait wrapper over evaluate_async
+/// (one code path, byte-identical decisions).
 class Llmj {
  public:
   Llmj(std::shared_ptr<llm::ModelClient> client, llm::PromptStyle style,
@@ -182,15 +181,6 @@ class Llmj {
                          const toolchain::CompileResult* compile = nullptr,
                          const toolchain::ExecutionRecord* exec = nullptr,
                          std::uint64_t seed = 0) const;
-
-  /// Judge a batch of files in one submission (blocking wrapper over
-  /// evaluate_async_many). Decisions come back in request order and are
-  /// byte-for-byte what evaluate() would have produced per item (only the
-  /// latency accounting differs, via the batched pass pricing). With the
-  /// cache disabled every item is submitted — including duplicates —
-  /// preserving the paper's one-request-per-file accounting.
-  std::vector<JudgeDecision> evaluate_many(
-      const std::vector<JudgeRequest>& batch, std::uint64_t seed = 0) const;
 
   /// Judge a file asynchronously. A cache hit resolves immediately; a miss
   /// is submitted to the model client's adaptive batcher (sequential
@@ -206,7 +196,12 @@ class Llmj {
   /// genuine misses — which are handed to the client as one submit_many
   /// group, so the adaptive batcher can coalesce them with other callers'
   /// misses into shared forward passes. Futures come back in request
-  /// order. Resolve them with drain(), which applies the drain rule.
+  /// order; each decision is byte-for-byte what evaluate() would have
+  /// produced for the item (only the latency accounting differs, via the
+  /// batched pass pricing). With the cache disabled every item is
+  /// submitted — including duplicates — preserving the paper's
+  /// one-request-per-file accounting. Resolve them with drain(), which
+  /// applies the drain rule.
   std::vector<JudgeFuture> evaluate_async_many(
       const std::vector<JudgeRequest>& batch, std::uint64_t seed = 0) const;
 

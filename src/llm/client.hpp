@@ -46,12 +46,12 @@ enum class OverflowPolicy {
 /// submission the moment it is enqueued, so nothing ever waits and nothing
 /// from another caller can ride along — complete() prices exactly like a
 /// sequential generate() (a batch of one is priced bit-identically, see
-/// SimulatedCoderModel) and complete_many() prices exactly like the PR 2
-/// one-pass-per-call batch. The core/ experiments rely on this pinning for
-/// their seed-exact simulated-GPU accounting.
+/// SimulatedCoderModel) and a submit_many() group prices exactly like a
+/// one-pass-per-call batch. The core/ experiments rely on this pinning
+/// for their seed-exact simulated-GPU accounting.
 struct BatcherConfig {
   /// Flush as soon as this many requests are pending. 0 = no cap: a flush
-  /// takes everything pending (every complete_many() call then maps to one
+  /// takes everything pending (every submit_many() group then maps to one
   /// forward pass, the PR 2 shape).
   std::size_t max_batch = 0;
   /// How long a pending request may wait for the batch to fill before the
@@ -131,8 +131,8 @@ struct ClientStats {
   double gpu_seconds = 0.0;
   /// Batched forward passes: flushes that carried two or more prompts, or
   /// whose requests arrived through the batch submission API
-  /// (submit_many / complete_many). A lone complete()/submit() flush is a
-  /// plain request, not a batch.
+  /// (submit_many). A lone complete()/submit() flush is a plain request,
+  /// not a batch.
   std::uint64_t batches = 0;
   /// Prompts that went through those batched passes (also counted in
   /// `requests`, which covers both paths).
@@ -267,10 +267,10 @@ struct Transcript {
 /// requests into a central adaptive batcher (see BatcherConfig) and return
 /// futures; the batcher coalesces pending requests across *all* callers
 /// and flushes them as one generate_batch() pass when the batch fills or
-/// the wait window elapses. The blocking complete()/complete_many() calls
-/// are thin wrappers over that one code path. Only requests with equal
-/// GenerationParams coalesce (a pass has a single params set); the batcher
-/// flushes the longest FIFO run of equal-params requests at a time.
+/// the wait window elapses. The blocking complete() call is a thin wrapper
+/// over that one code path. Only requests with equal GenerationParams
+/// coalesce (a pass has a single params set); the batcher flushes the
+/// longest FIFO run of equal-params requests at a time.
 ///
 /// Slot admission is FIFO: every flush takes a ticket and acquires only at
 /// the head of the queue. Without the ticket, a steady stream of
@@ -306,8 +306,13 @@ class ModelClient {
                           const GenerationParams& params = {});
 
   /// Submit a group of prompts atomically (they enter the batcher
-  /// back-to-back, so with window_us == 0 the group flushes as one pass —
-  /// the PR 2 complete_many shape). Futures come back in prompt order.
+  /// back-to-back, so with window_us == 0 the group flushes as one pass).
+  /// Each flush acquires min(size, max_concurrency) GPU slots atomically —
+  /// it waits until that many are free at once instead of trickling in, so
+  /// two batched callers can never deadlock each other holding partial
+  /// slot sets. Statistics record each pass as one batch plus per-prompt
+  /// token counts. Futures come back in prompt order; an empty group
+  /// submits nothing.
   std::vector<CompletionFuture> submit_many(
       const std::vector<std::string>& prompts,
       const GenerationParams& params = {});
@@ -317,16 +322,6 @@ class ModelClient {
   /// submission — pin window_us to 0 for strictly sequential pricing.
   Completion complete(const std::string& prompt,
                       const GenerationParams& params = {});
-
-  /// Blocking batched completion (thread-safe): submit_many + wait all.
-  /// Each flush acquires min(size, max_concurrency) GPU slots atomically —
-  /// it waits until that many are free at once instead of trickling in, so
-  /// two batched callers can never deadlock each other holding partial
-  /// slot sets. Statistics record each pass as one batch plus per-prompt
-  /// token counts; completions come back in prompt order.
-  std::vector<Completion> complete_many(
-      const std::vector<std::string>& prompts,
-      const GenerationParams& params = {});
 
   /// Snapshot of the running statistics.
   ClientStats stats() const;
@@ -383,8 +378,8 @@ class ModelClient {
     std::string prompt;
     GenerationParams params;
     std::shared_ptr<detail::CompletionState> state;
-    /// Arrived through submit_many/complete_many (batch accounting keeps
-    /// the PR 2 meaning of `batches` for single-prompt batch calls).
+    /// Arrived through submit_many (batch accounting counts a
+    /// single-prompt batch call as a batch).
     bool batch_origin = false;
     std::chrono::steady_clock::time_point enqueued;
   };

@@ -71,6 +71,8 @@ struct PipelineMetrics {
   obs::Counter compile_persisted_hits;
   obs::Counter execute_processed;
   obs::Counter execute_rejected;
+  /// Registry-only: PipelineResult has no field for it.
+  obs::Counter execute_memo_hits;
   obs::Counter execute_fused_instructions;
   obs::Counter judge_processed;
   obs::Counter judge_rejected;
@@ -94,6 +96,7 @@ PipelineMetrics fetch_metrics(obs::Registry* registry) {
       registry->counter("pipeline.compile.persisted_hits");
   m.execute_processed = registry->counter("pipeline.execute.processed");
   m.execute_rejected = registry->counter("pipeline.execute.rejected");
+  m.execute_memo_hits = registry->counter("pipeline.execute.memo_hits");
   m.execute_fused_instructions =
       registry->counter("pipeline.execute.fused_instructions");
   m.judge_processed = registry->counter("pipeline.judge.processed");
@@ -377,16 +380,18 @@ PipelineResult ValidationPipeline::run(
           support::Stopwatch timer;
           obs::ObsSpan span(tracer, obs::SpanKind::kExecute, item.index + 1,
                             run_span_id);
-          item.exec = executor_.run(item.compile.module);
+          item.exec = executor_.run(item.compile);
           span.set_arg(item.exec.passed() ? 1 : 0);
           span.end();
           PipelineRecord& record = result.records[item.index];
           record.executed = item.exec.passed();
           record.exec_rc = item.exec.return_code;
+          record.exec_cached = item.exec.cached;
           ++local.stats.processed;
           if (!item.exec.passed()) ++local.stats.rejected;
           metrics.execute_processed.inc();
           if (!item.exec.passed()) metrics.execute_rejected.inc();
+          if (item.exec.cached) metrics.execute_memo_hits.inc();
           if (item.exec.fused_instructions > 0) {
             local.fused_instructions += item.exec.fused_instructions;
             local.fusion_patterns =

@@ -105,6 +105,10 @@ struct PipelineRecord {
   /// True when the compile stage was served from the compile cache (the
   /// front-end never ran for this file in this call).
   bool compile_cached = false;
+  /// True when the execute stage was served from the run memo on the
+  /// module's compile-cache entry (the VM never ran for this file in this
+  /// call; see ExecutionRecord::cached).
+  bool exec_cached = false;
   /// True when the judge stage gave up on this file: the model call failed
   /// past the client's retry budget (or was shed / timed out). The record
   /// stays in the results with the failure's kind and attempt count below

@@ -689,7 +689,7 @@ void Server::Impl::process_batch(std::vector<ServeJob>& batch) {
     }
     {
       obs::ObsSpan span(tracer, obs::SpanKind::kExecute, batch[i].seq);
-      work[i].exec = executor.run(work[i].compile.module);
+      work[i].exec = executor.run(work[i].compile);
       span.set_arg(work[i].exec.passed() ? 1 : 0);
     }
     work[i].record.compiled = work[i].compile.success;

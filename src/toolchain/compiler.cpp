@@ -123,7 +123,7 @@ CompileResult CompilerDriver::compile(const frontend::SourceFile& file) const {
   const std::uint64_t identity = identity_from(content_hash, file);
   if (auto hit = cache_->lookup(identity)) return std::move(*hit);
   CompileResult result = compile_uncached(file, content_hash);
-  cache_->insert(identity, result);
+  result.exec_memo = cache_->insert(identity, result);
   return result;
 }
 

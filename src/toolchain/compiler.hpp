@@ -14,6 +14,8 @@ class CompileCache;  // cache/compile_cache.hpp stores CompileResults
 
 namespace llm4vv::toolchain {
 
+class ExecMemo;  // toolchain/executor.hpp: runs memoized per cache entry
+
 /// Which real compiler's behaviour (diagnostic style, spec version support,
 /// feature quirks) the driver imitates. The paper used NVIDIA HPC SDK `nvc`
 /// for OpenACC and LLVM `clang` for OpenMP offloading.
@@ -52,6 +54,10 @@ struct CompileResult {
   /// True when the serving cache entry was warm-loaded from a persistent
   /// artifact store (a previous process run paid for the front-end).
   bool persisted = false;
+  /// Run memo of the compile-cache entry that holds `module`, shared by
+  /// every result that entry serves (Executor::run(const CompileResult&)
+  /// reads and fills it). Null without a compile cache or a module.
+  std::shared_ptr<ExecMemo> exec_memo;
 };
 
 /// Default personas matching the paper's setup.

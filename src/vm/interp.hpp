@@ -14,6 +14,8 @@ struct ExecLimits {
   std::size_t max_output = 1u << 16;      ///< stdout bytes
   std::size_t max_frames = 512;           ///< call depth
   std::uint64_t max_cells = 1u << 22;     ///< memory cells
+
+  bool operator==(const ExecLimits&) const = default;
 };
 
 /// Result of running a Module.

@@ -67,7 +67,8 @@ TEST(SubmitTest, SubmitManyMatchesCompleteMany) {
   ModelClient blocking_client(model, 4);
   const auto prompts = sample_prompts(5);
   const auto futures = async_client.submit_many(prompts);
-  const auto reference = blocking_client.complete_many(prompts);
+  const auto reference =
+      testutil::get_all(blocking_client.submit_many(prompts));
   ASSERT_EQ(futures.size(), prompts.size());
   for (std::size_t i = 0; i < prompts.size(); ++i) {
     const auto completion = futures[i].get();
@@ -180,7 +181,7 @@ TEST(AdaptiveBatcherTest, MaxBatchCapsOversizedSubmitMany) {
   ModelClient client(std::make_shared<const SimulatedCoderModel>(), 4, 0,
                      batcher);
   const auto prompts = sample_prompts(7);
-  const auto completions = client.complete_many(prompts);
+  const auto completions = testutil::get_all(client.submit_many(prompts));
   ASSERT_EQ(completions.size(), 7u);
   const auto stats = client.stats();
   // 7 prompts with a 3-cap: passes of 3, 3, 1.
@@ -189,7 +190,7 @@ TEST(AdaptiveBatcherTest, MaxBatchCapsOversizedSubmitMany) {
   EXPECT_EQ(stats.requests, 7u);
   // Text must match the uncapped client prompt-for-prompt.
   ModelClient reference(std::make_shared<const SimulatedCoderModel>(), 4);
-  const auto expected = reference.complete_many(prompts);
+  const auto expected = testutil::get_all(reference.submit_many(prompts));
   for (std::size_t i = 0; i < prompts.size(); ++i) {
     EXPECT_EQ(completions[i].text, expected[i].text) << i;
   }
@@ -509,7 +510,7 @@ TEST(OccupancyBucketTest, FlushSizesLandInDocumentedBuckets) {
   for (int i = 0; i < 3; ++i) {
     client.complete("single prompt " + std::to_string(i));
   }
-  client.complete_many(sample_prompts(6));
+  testutil::get_all(client.submit_many(sample_prompts(6)));
   const ClientStats stats = client.stats();
   EXPECT_EQ(stats.occupancy_hist[0], 3u);
   EXPECT_EQ(stats.occupancy_hist[ClientStats::occupancy_bucket(6)], 1u);

@@ -12,6 +12,7 @@
 #include "llm/coder_model.hpp"
 #include "llm/faults.hpp"
 #include "support/rng.hpp"
+#include "tests/test_util.hpp"
 
 namespace llm4vv::llm {
 namespace {
@@ -412,8 +413,8 @@ TEST(BackpressureTest, UnboundedByDefault) {
   auto model = std::make_shared<FlakyModel>(0);
   ModelClient client(model);
   EXPECT_EQ(client.batcher().max_pending, 0u);
-  const auto completions = client.complete_many(
-      std::vector<std::string>(64, "p"));
+  const auto completions = testutil::get_all(
+      client.submit_many(std::vector<std::string>(64, "p")));
   EXPECT_EQ(completions.size(), 64u);
   EXPECT_EQ(client.stats().pending_shed, 0u);
 }

@@ -262,9 +262,9 @@ TEST(JudgeAsyncTest, PeerWaitReadyTurnsTrueAtPublicationWithoutGet) {
 
 TEST(JudgeAsyncTest, FormedBatchesPinTruthfulOccupancyUnderACap) {
   // Old definition: occupancy derived from the submission group ("popped
-  // chunk") — one evaluate_many of 8 misses reads as one batch of 8. New
-  // definition: the client's formed passes — with max_batch 4 the same
-  // call runs as two passes of 4. This test pins both numbers so the
+  // chunk") — one evaluate_async_many of 8 misses reads as one batch of 8.
+  // New definition: the client's formed passes — with max_batch 4 the
+  // same call runs as two passes of 4. This test pins both numbers so the
   // definitions can never silently swap back.
   llm::BatcherConfig batcher;
   batcher.max_batch = 4;
@@ -288,7 +288,8 @@ TEST(JudgeAsyncTest, FormedBatchesPinTruthfulOccupancyUnderACap) {
   for (std::size_t i = 0; i < files.size(); ++i) {
     requests.push_back(JudgeRequest{&files[i], &compiles[i], &execs[i]});
   }
-  const auto decisions = judge.evaluate_many(requests, 0);
+  const auto decisions =
+      testutil::get_all(judge.evaluate_async_many(requests, 0));
 
   // Popped-chunk view: all 8 decisions rode the batch submission API.
   std::size_t batched = 0;

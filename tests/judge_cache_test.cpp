@@ -151,7 +151,7 @@ TEST(JudgeCacheTest, ClearCacheForcesRecomputeWithSameResult) {
 }
 
 // ---------------------------------------------------------------------------
-// evaluate_many: batched submission through the memo cache
+// evaluate_async_many: batched submission through the memo cache
 // ---------------------------------------------------------------------------
 
 TEST(EvaluateManyTest, MatchesSequentialEvaluate) {
@@ -176,7 +176,8 @@ TEST(EvaluateManyTest, MatchesSequentialEvaluate) {
     requests.push_back(JudgeRequest{&files[i], &compiles[i], &execs[i]});
   }
 
-  const auto decisions = batched.evaluate_many(requests, 7);
+  const auto decisions =
+      testutil::get_all(batched.evaluate_async_many(requests, 7));
   ASSERT_EQ(decisions.size(), files.size());
   for (std::size_t i = 0; i < files.size(); ++i) {
     const auto reference =
@@ -205,7 +206,8 @@ TEST(EvaluateManyTest, PartitionsHitsAndMissesAndFillsCache) {
   std::vector<JudgeRequest> requests = {JudgeRequest{&warm},
                                         JudgeRequest{&cold_a},
                                         JudgeRequest{&cold_b}};
-  const auto decisions = judge.evaluate_many(requests);
+  const auto decisions =
+      testutil::get_all(judge.evaluate_async_many(requests));
   ASSERT_EQ(decisions.size(), 3u);
   EXPECT_TRUE(decisions[0].cached);
   EXPECT_FALSE(decisions[1].cached);
@@ -230,7 +232,8 @@ TEST(EvaluateManyTest, InBatchDuplicatesAreDeduplicated) {
   std::vector<JudgeRequest> requests = {JudgeRequest{&file},
                                         JudgeRequest{&file},
                                         JudgeRequest{&file}};
-  const auto decisions = judge.evaluate_many(requests);
+  const auto decisions =
+      testutil::get_all(judge.evaluate_async_many(requests));
   ASSERT_EQ(decisions.size(), 3u);
   EXPECT_FALSE(decisions[0].cached);
   EXPECT_TRUE(decisions[1].cached);
@@ -252,7 +255,8 @@ TEST(EvaluateManyTest, DisabledCacheSubmitsEveryItemIncludingDuplicates) {
   const auto file = sample_file(5);
   std::vector<JudgeRequest> requests = {JudgeRequest{&file},
                                         JudgeRequest{&file}};
-  const auto decisions = judge.evaluate_many(requests);
+  const auto decisions =
+      testutil::get_all(judge.evaluate_async_many(requests));
   ASSERT_EQ(decisions.size(), 2u);
   EXPECT_FALSE(decisions[0].cached);
   EXPECT_FALSE(decisions[1].cached);
@@ -264,7 +268,7 @@ TEST(EvaluateManyTest, DisabledCacheSubmitsEveryItemIncludingDuplicates) {
 
 TEST(EvaluateManyTest, EmptyBatchYieldsNoDecisions) {
   const Llmj judge(make_client(), llm::PromptStyle::kDirectAnalysis);
-  EXPECT_TRUE(judge.evaluate_many({}).empty());
+  EXPECT_TRUE(judge.evaluate_async_many({}).empty());
   EXPECT_EQ(judge.cache_stats().misses, 0u);
 }
 

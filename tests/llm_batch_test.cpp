@@ -1,6 +1,6 @@
 // Batched-submission coverage: LanguageModel::generate_batch (default and
 // SimulatedCoderModel's prefill-amortizing override), and
-// ModelClient::complete_many (equivalence, stats, atomic slot acquisition,
+// ModelClient::submit_many (equivalence, stats, atomic slot acquisition,
 // and the notify_all release regression).
 #include <gtest/gtest.h>
 
@@ -12,6 +12,7 @@
 #include "judge/prompt.hpp"
 #include "llm/client.hpp"
 #include "llm/coder_model.hpp"
+#include "tests/test_util.hpp"
 
 namespace llm4vv::llm {
 namespace {
@@ -130,7 +131,7 @@ TEST(GenerateBatchTest, PrefillFractionOneRemovesPrefillAmortization) {
 }
 
 // ---------------------------------------------------------------------------
-// ModelClient::complete_many
+// ModelClient::submit_many
 // ---------------------------------------------------------------------------
 
 TEST(CompleteManyTest, MatchesSequentialCompletions) {
@@ -141,7 +142,8 @@ TEST(CompleteManyTest, MatchesSequentialCompletions) {
   GenerationParams params;
   params.seed = 3;
 
-  const auto batch = batched_client.complete_many(prompts, params);
+  const auto batch =
+      testutil::get_all(batched_client.submit_many(prompts, params));
   ASSERT_EQ(batch.size(), prompts.size());
   for (std::size_t i = 0; i < prompts.size(); ++i) {
     const auto sequential = sequential_client.complete(prompts[i], params);
@@ -155,7 +157,7 @@ TEST(CompleteManyTest, RecordsOneBatchAndPerPromptTokens) {
   auto model = std::make_shared<const SimulatedCoderModel>();
   ModelClient client(model, 4);
   const auto prompts = sample_prompts(5);
-  const auto completions = client.complete_many(prompts);
+  const auto completions = testutil::get_all(client.submit_many(prompts));
   const auto stats = client.stats();
   EXPECT_EQ(stats.requests, 5u);
   EXPECT_EQ(stats.batches, 1u);
@@ -184,7 +186,7 @@ TEST(CompleteManyTest, SequentialCompleteLeavesBatchCountersAtZero) {
 TEST(CompleteManyTest, EmptyBatchIsANoOp) {
   auto model = std::make_shared<const SimulatedCoderModel>();
   ModelClient client(model, 1);
-  EXPECT_TRUE(client.complete_many({}).empty());
+  EXPECT_TRUE(client.submit_many({}).empty());
   EXPECT_EQ(client.stats().requests, 0u);
   EXPECT_EQ(client.stats().batches, 0u);
 }
@@ -193,7 +195,7 @@ TEST(CompleteManyTest, BatchLargerThanConcurrencyCompletes) {
   auto model = std::make_shared<const SimulatedCoderModel>();
   ModelClient client(model, 2);  // slots clamp to 2, batch of 8 still runs
   const auto prompts = sample_prompts(8);
-  const auto completions = client.complete_many(prompts);
+  const auto completions = testutil::get_all(client.submit_many(prompts));
   EXPECT_EQ(completions.size(), 8u);
   EXPECT_EQ(client.stats().requests, 8u);
   EXPECT_EQ(client.stats().max_batch, 8u);
@@ -203,7 +205,7 @@ TEST(CompleteManyTest, TranscriptsRecordEachBatchedPrompt) {
   auto model = std::make_shared<const SimulatedCoderModel>();
   ModelClient client(model, 2, /*transcript_capacity=*/8);
   const auto prompts = sample_prompts(3);
-  client.complete_many(prompts);
+  testutil::get_all(client.submit_many(prompts));
   const auto transcripts = client.transcripts();
   ASSERT_EQ(transcripts.size(), 3u);
   for (std::size_t i = 0; i < prompts.size(); ++i) {
@@ -282,7 +284,7 @@ class OrderingModel final : public LanguageModel {
   mutable bool released_ = false;
 };
 
-// The starvation regression the FIFO ticket fixes: a wide complete_many
+// The starvation regression the FIFO ticket fixes: a wide submit_many
 // waiter must run before single-slot callers that arrived after it, no
 // matter how many of them keep the pool churning. The gated model holds an
 // early single call in flight; the wide batch queues behind it; a wave of
@@ -297,7 +299,8 @@ TEST(SlotFairnessTest, WideWaiterIsNotStarvedBySingleSlotStream) {
   model->wait_for_started(1);  // "early" holds one of the two slots
 
   std::thread wide([&client] {
-    client.complete_many({"batch-a", "batch-b"});  // needs both slots
+    // Needs both slots.
+    testutil::get_all(client.submit_many({"batch-a", "batch-b"}));
   });
   // The batch has taken its ticket once it is queued for slots.
   while (client.queue_depth() < 1) std::this_thread::yield();
@@ -332,7 +335,7 @@ TEST(SlotFairnessTest, WideWaiterIsNotStarvedBySingleSlotStream) {
 }
 
 // Regression for the slot-release wakeup bug: with notify_one a release
-// could be consumed by a multi-slot complete_many waiter whose predicate
+// could be consumed by a multi-slot submit_many waiter whose predicate
 // was still false, leaving a runnable single-slot waiter asleep. Mixing
 // batched and single callers over a small slot pool must always drain.
 TEST(CompleteManyTest, MixedBatchAndSingleCallersAllComplete) {
@@ -345,7 +348,7 @@ TEST(CompleteManyTest, MixedBatchAndSingleCallersAllComplete) {
     threads.emplace_back([&client, &prompts, &completed, t] {
       for (int i = 0; i < 6; ++i) {
         if ((t + i) % 2 == 0) {
-          client.complete_many(prompts);
+          testutil::get_all(client.submit_many(prompts));
         } else {
           client.complete(prompts[0]);
         }

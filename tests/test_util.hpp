@@ -8,6 +8,8 @@
 #include <stdexcept>
 #include <string>
 #include <unistd.h>
+#include <utility>
+#include <vector>
 
 #include "corpus/generator.hpp"
 #include "directive/validator.hpp"
@@ -148,6 +150,16 @@ inline corpus::GeneratorConfig corpus_config(frontend::Flavor flavor,
   config.count = count;
   config.seed = seed;
   return config;
+}
+
+/// Resolve a batch submission's futures (ModelClient::submit_many or
+/// Llmj::evaluate_async_many) with get(), in submission order.
+template <typename Future>
+auto get_all(const std::vector<Future>& futures) {
+  std::vector<decltype(std::declval<const Future&>().get())> results;
+  results.reserve(futures.size());
+  for (const Future& future : futures) results.push_back(future.get());
+  return results;
 }
 
 /// A strictness-free compiler driver for validity testing.
