@@ -1,7 +1,14 @@
-// Judge-stage microbenchmarks: simulated model call cost, the judge's
-// perception pass alone, prompt-size scaling, and client-side concurrency
-// behaviour. The `sim_latency` counters show why the LLM stage dominates
-// the pipeline's (virtual) cost.
+// Judge-stage microbenchmarks: simulated model call cost over the suite's
+// prompts and over one repeated prompt, the judge's perception pass alone,
+// prompt-size scaling, and client-side concurrency behaviour. The
+// `sim_latency` counters show why the LLM stage dominates the pipeline's
+// (virtual) cost.
+//
+// SimulatedCoderModel counts and hashes each prompt only from the last
+// safe cut it shares with a prompt it saw before. BM_GenerateSuite walks
+// distinct prompts in suite order, as the pipeline does; the benches that
+// repeat one prompt (BM_SimulatedJudgeCall, BM_PromptSizeScaling) measure
+// the fully reused path, where no prompt token is counted again.
 #include <benchmark/benchmark.h>
 
 #include <thread>
@@ -58,6 +65,49 @@ const std::vector<std::string>& suite_prompts() {
   }();
   return prompts;
 }
+
+void BM_GenerateSuite(benchmark::State& state) {
+  // One model over every suite prompt in suite order: perception, the
+  // completion and the prompt's token count and hash, resumed from the
+  // shared prefix of the previous prompt.
+  const auto& prompts = suite_prompts();
+  const llm::SimulatedCoderModel model;
+  for (auto _ : state) {
+    for (const auto& prompt : prompts) {
+      const auto completion = model.generate(prompt, {});
+      benchmark::DoNotOptimize(completion.prompt_tokens);
+    }
+  }
+  // The share of prompt bytes a single-threaded model resumes past: the
+  // last safe cut inside each prompt's common prefix with the one before.
+  const llm::Tokenizer& tokenizer = llm::default_tokenizer();
+  std::size_t bytes = 0;
+  std::size_t reused = 0;
+  for (std::size_t i = 0; i < prompts.size(); ++i) {
+    const std::string& prompt = prompts[i];
+    bytes += prompt.size();
+    if (i == 0) continue;
+    const std::string& previous = prompts[i - 1];
+    std::size_t common = 0;
+    while (common < prompt.size() && common < previous.size() &&
+           prompt[common] == previous[common]) {
+      ++common;
+    }
+    std::size_t cut = common;
+    while (cut > 0 && !(tokenizer.is_safe_cut(previous, cut) &&
+                        (cut < common || cut == prompt.size() ||
+                         tokenizer.is_safe_cut(prompt, cut)))) {
+      --cut;
+    }
+    reused += cut;
+  }
+  state.SetItemsProcessed(
+      static_cast<std::int64_t>(state.iterations() * prompts.size()));
+  state.counters["prompts"] = static_cast<double>(prompts.size());
+  state.counters["prompt_bytes_reused_share"] =
+      static_cast<double>(reused) / static_cast<double>(bytes);
+}
+BENCHMARK(BM_GenerateSuite)->Unit(benchmark::kMillisecond);
 
 void BM_Perceive(benchmark::State& state) {
   // Perception alone — the judge re-reading the code through the lexer,

@@ -2,6 +2,7 @@
 # Runs the perf_* Google Benchmark binaries and records their JSON output
 # next to this script, so every PR leaves a perf trajectory:
 #   bench/BENCH_tokenizer.json  - trie vs naive encode, count, roundtrip
+#                                 (5-repetition medians)
 #   bench/BENCH_pipeline.json   - mode/worker sweeps + judge-cache counters
 #                                 + resubmitted-suite run memo (BM_PipelineRerun)
 #   bench/BENCH_batcher.json    - adaptive-batcher wait-window sweep
@@ -22,12 +23,14 @@
 #                                 and jobs/s over loopback at 1/2/4 clients,
 #                                 plus the 3-tenant fairness sweep (see
 #                                 docs/SERVING.md)
-#   bench/BENCH_frontend.json   - compile-stage front-end throughput and
-#                                 directive validation (5-repetition medians)
-#   bench/BENCH_llm.json        - simulated judge call, the judge's
-#                                 perception pass alone, prompt-size scaling
-#                                 and client concurrency (5-repetition
-#                                 medians)
+#   bench/BENCH_frontend.json   - compile-stage front-end throughput, heap
+#                                 allocations per file and directive
+#                                 validation (5-repetition medians)
+#   bench/BENCH_llm.json        - simulated generation over the suite's
+#                                 prompts and over one repeated prompt, the
+#                                 judge's perception pass alone, prompt-size
+#                                 scaling and client concurrency
+#                                 (5-repetition medians)
 #
 # Usage: bench/run_benchmarks.sh [build-dir]
 #   BENCH_MIN_TIME=0.01s bench/run_benchmarks.sh   # quick smoke run
@@ -83,16 +86,16 @@ gate() {
   failures+=("${fail_message}")
 }
 
-run_bench perf_tokenizer "${script_dir}/BENCH_tokenizer.json"
+# The per-layer benches record medians of 5 repetitions (the later
+# --benchmark_repetitions overrides the default of 1).
+layer_args=(--benchmark_repetitions=5 --benchmark_report_aggregates_only=true)
+run_bench perf_tokenizer "${script_dir}/BENCH_tokenizer.json" "${layer_args[@]}"
 run_bench perf_pipeline "${script_dir}/BENCH_pipeline.json"
 run_bench perf_batcher "${script_dir}/BENCH_batcher.json"
 run_bench perf_vm "${script_dir}/BENCH_vm.json"
 run_bench perf_faults "${script_dir}/BENCH_faults.json"
 run_bench perf_obs "${script_dir}/BENCH_obs.json"
 run_bench perf_serve "${script_dir}/BENCH_serve.json"
-# The per-layer benches record medians of 5 repetitions (the later
-# --benchmark_repetitions overrides the default of 1).
-layer_args=(--benchmark_repetitions=5 --benchmark_report_aggregates_only=true)
 run_bench perf_frontend "${script_dir}/BENCH_frontend.json" "${layer_args[@]}"
 run_bench perf_llm "${script_dir}/BENCH_llm.json" "${layer_args[@]}"
 
@@ -115,9 +118,9 @@ rm -f "${warm_cache_file}"
 if command -v jq >/dev/null 2>&1; then
   echo
   jq -r '
-    [.benchmarks[] | select(.name == "BM_TokenizerEncode")][0]
+    [.benchmarks[] | select(.name == "BM_TokenizerEncode_median")][0]
         .bytes_per_second as $trie |
-    [.benchmarks[] | select(.name == "BM_TokenizerEncodeNaive")][0]
+    [.benchmarks[] | select(.name == "BM_TokenizerEncodeNaive_median")][0]
         .bytes_per_second as $naive |
     "tokenizer encode: trie \($trie / 1e6 | floor) MB/s, " +
     "naive \($naive / 1e6 | floor) MB/s, " +
@@ -126,16 +129,23 @@ if command -v jq >/dev/null 2>&1; then
   jq -r '
     .benchmarks[]
     | select(.aggregate_name == "median")
-    | select(.run_name | startswith("BM_Compile"))
+    | select(.run_name | startswith("BM_Compile") or
+                         startswith("BM_FrontendPass"))
     | "\(.run_name) median: \(.items_per_second | floor) files/s " +
-      "(\(1e6 / .items_per_second * 10 | floor / 10) us/file)"
+      "(\(1e6 / .items_per_second * 10 | floor / 10) us/file, " +
+      "\(.allocs_per_file * 10 | floor / 10) heap allocations/file)"
   ' "${script_dir}/BENCH_frontend.json"
   jq -r '
     .benchmarks[]
     | select(.aggregate_name == "median")
-    | select(.run_name == "BM_Perceive" or .run_name == "BM_SimulatedJudgeCall")
+    | select(.run_name == "BM_Perceive" or .run_name == "BM_SimulatedJudgeCall"
+             or .run_name == "BM_GenerateSuite")
     | "\(.run_name) median: " +
-      "\(1e6 / .items_per_second * 10 | floor / 10) us per prompt"
+      "\(1e6 / .items_per_second * 10 | floor / 10) us per prompt" +
+      (if .prompt_bytes_reused_share then
+         ", \(.prompt_bytes_reused_share * 1000 | floor / 10)% of prompt " +
+         "bytes reused"
+       else "" end)
   ' "${script_dir}/BENCH_llm.json"
   jq -r '
     .benchmarks[]

@@ -1,6 +1,26 @@
 #include "frontend/ast.hpp"
 
+#include <new>
+
 namespace llm4vv::frontend {
+
+Program::Program(std::unique_ptr<AstArena> owned)
+    : arena(std::move(owned)),
+      globals(arena->resource()),
+      functions(arena->resource()),
+      top_level_pragmas(arena->resource()),
+      symbols(arena->resource()),
+      pragmas(arena->resource()) {}
+
+Program& Program::operator=(Program&& other) noexcept {
+  // Member-wise assignment would replace the arena first and free the
+  // memory of the nodes it is about to destroy.
+  if (this != &other) {
+    std::destroy_at(this);
+    std::construct_at(this, std::move(other));
+  }
+  return *this;
+}
 
 std::string type_to_string(const Type& type) {
   std::string out;
@@ -20,8 +40,16 @@ std::string type_to_string(const Type& type) {
   return out;
 }
 
-ExprPtr make_int_literal(long value, int line, int column) {
-  auto e = std::make_unique<Expr>();
+namespace {
+
+ExprPtr new_expr(AstArena* arena) {
+  return arena != nullptr ? arena->make<Expr>() : ExprPtr(new Expr);
+}
+
+}  // namespace
+
+ExprPtr make_int_literal(long value, int line, int column, AstArena* arena) {
+  ExprPtr e = new_expr(arena);
   e->kind = ExprKind::kIntLit;
   e->int_value = value;
   e->line = line;
@@ -29,8 +57,9 @@ ExprPtr make_int_literal(long value, int line, int column) {
   return e;
 }
 
-ExprPtr make_ident(std::string name, int line, int column) {
-  auto e = std::make_unique<Expr>();
+ExprPtr make_ident(std::string name, int line, int column,
+                   AstArena* arena) {
+  ExprPtr e = new_expr(arena);
   e->kind = ExprKind::kIdent;
   e->text = std::move(name);
   e->line = line;

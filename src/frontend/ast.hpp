@@ -1,10 +1,69 @@
 #pragma once
 
+#include <cstddef>
 #include <memory>
+#include <memory_resource>
 #include <string>
 #include <vector>
 
 namespace llm4vv::frontend {
+
+// --------------------------------------------------------------------------
+// Node memory
+// --------------------------------------------------------------------------
+
+/// Deleter of ExprPtr/StmtPtr: an arena node only runs its destructor (its
+/// arena owns the memory), a heap node is deleted. Converts from
+/// std::default_delete, so `ExprPtr e = std::make_unique<Expr>();` works.
+struct AstNodeDelete {
+  AstNodeDelete() noexcept = default;
+  template <typename T>
+  AstNodeDelete(const std::default_delete<T>&) noexcept {}  // NOLINT
+
+  template <typename Node>
+  void operator()(Node* node) const noexcept {
+    if (node->in_arena) {
+      node->~Node();
+    } else {
+      delete node;
+    }
+  }
+};
+
+/// The memory of one Program's AST: its Expr and Stmt nodes and the lists
+/// inside them and inside the Program. A monotonic resource hands it out in
+/// order, first from a 32 KB block inside the arena object (a typical C or
+/// Fortran test's AST fits, so a whole parse makes one heap allocation
+/// instead of one per node and list), then from heap blocks; nothing is
+/// freed until the arena dies. The Program holds the arena by pointer, so
+/// moving the Program moves no node.
+class AstArena {
+ public:
+  /// User-provided so that `std::make_unique<AstArena>()` does not
+  /// zero-fill the inline block first.
+  AstArena() noexcept : resource_(inline_, sizeof(inline_)) {}
+  AstArena(const AstArena&) = delete;
+  AstArena& operator=(const AstArena&) = delete;
+
+  std::pmr::memory_resource* resource() noexcept { return &resource_; }
+
+  /// A default node of this arena; its lists allocate here too.
+  template <typename Node>
+  std::unique_ptr<Node, AstNodeDelete> make() {
+    return std::unique_ptr<Node, AstNodeDelete>(
+        ::new (resource_.allocate(sizeof(Node), alignof(Node)))
+            Node(&resource_));
+  }
+
+ private:
+  alignas(std::max_align_t) std::byte inline_[32 * 1024];
+  std::pmr::monotonic_buffer_resource resource_;
+};
+
+/// A list inside the AST: in its Program's arena for parsed nodes, on the
+/// heap (the default resource) for nodes built by hand.
+template <typename T>
+using AstVector = std::pmr::vector<T>;
 
 /// Scalar base types of the V&V subset. `long`/`int`/`char`/`bool` all map
 /// to a 64-bit integer at run time; `float`/`double` map to binary64.
@@ -51,14 +110,21 @@ enum class ExprKind {
 };
 
 struct Expr;
-using ExprPtr = std::unique_ptr<Expr>;
+using ExprPtr = std::unique_ptr<Expr, AstNodeDelete>;
 
 /// One expression node. A single struct with a kind tag keeps lowering and
 /// printing simple; unused fields stay empty.
 struct Expr {
+  Expr() = default;
+  /// An arena node: its argument list allocates from `memory` too (see
+  /// AstArena::make).
+  explicit Expr(std::pmr::memory_resource* memory) noexcept
+      : in_arena(true), args(memory) {}
+
   ExprKind kind = ExprKind::kIntLit;
   int line = 0;
   int column = 0;
+  bool in_arena = false;      ///< memory owned by an AstArena
 
   long int_value = 0;         ///< kIntLit / kCharLit
   double float_value = 0.0;   ///< kFloatLit
@@ -69,7 +135,7 @@ struct Expr {
   ExprPtr lhs;                ///< unary/binary/assign/index/ternary-cond/cast
   ExprPtr rhs;                ///< binary/assign/index/ternary-then
   ExprPtr third;              ///< ternary-else
-  std::vector<ExprPtr> args;  ///< kCall arguments
+  AstVector<ExprPtr> args;    ///< kCall arguments
 
   /// Filled by sema for kIdent: index into the enclosing Program's symbol
   /// table (-1 when unresolved).
@@ -96,7 +162,7 @@ enum class StmtKind {
 };
 
 struct Stmt;
-using StmtPtr = std::unique_ptr<Stmt>;
+using StmtPtr = std::unique_ptr<Stmt, AstNodeDelete>;
 
 /// One variable declarator within a declaration statement.
 struct Declarator {
@@ -111,13 +177,19 @@ struct Declarator {
 
 /// One statement node (kind-tagged like Expr).
 struct Stmt {
+  Stmt() = default;
+  /// An arena node: its lists allocate from `memory` too.
+  explicit Stmt(std::pmr::memory_resource* memory) noexcept
+      : in_arena(true), decls(memory), body(memory) {}
+
   StmtKind kind = StmtKind::kEmpty;
   int line = 0;
   int column = 0;
+  bool in_arena = false;           ///< memory owned by an AstArena
 
-  std::vector<Declarator> decls;   ///< kDecl
+  AstVector<Declarator> decls;     ///< kDecl
   ExprPtr expr;                    ///< kExpr / kReturn value / condition
-  std::vector<StmtPtr> body;       ///< kCompound children
+  AstVector<StmtPtr> body;         ///< kCompound children
   StmtPtr then_branch;             ///< kIf then / loop body / pragma target
   StmtPtr else_branch;             ///< kIf else
   StmtPtr init_stmt;               ///< kFor init (decl or expr stmt)
@@ -160,22 +232,41 @@ struct Symbol {
 };
 
 /// A parsed translation unit plus (after sema) its symbol table.
+///
+/// The parsers build it with an AstArena that holds its nodes and lists.
+/// Moving a Program moves the arena pointer, so every node stays where it
+/// is and stays valid; nodes live as long as the Program that owns them.
+/// A default-constructed Program has no arena and allocates from the heap.
 struct Program {
-  std::vector<Declarator> globals;
-  std::vector<FunctionDecl> functions;
+  Program() = default;
+  /// An empty Program whose lists and parsed nodes live in `arena`.
+  explicit Program(std::unique_ptr<AstArena> arena);
+  Program(Program&&) noexcept = default;
+  /// Destroys this Program's nodes before the arena they live in.
+  Program& operator=(Program&& other) noexcept;
+  ~Program() = default;
+
+  /// Declared first, so it is destroyed after every node it holds.
+  std::unique_ptr<AstArena> arena;
+
+  AstVector<Declarator> globals;
+  AstVector<FunctionDecl> functions;
   /// Pragmas appearing at file scope (e.g. `#pragma acc routine`).
-  std::vector<StmtPtr> top_level_pragmas;
-  std::vector<Symbol> symbols;  ///< filled by sema
+  AstVector<StmtPtr> top_level_pragmas;
+  AstVector<Symbol> symbols;    ///< filled by sema
   int main_index = -1;          ///< index of `main` in functions, -1 if none
 
   /// All pragma statements in source order (non-owning pointers into the
   /// function bodies / top_level_pragmas above), collected by the parser for
   /// the directive validator and the judge's perception layer.
-  std::vector<const Stmt*> pragmas;
+  AstVector<const Stmt*> pragmas;
 };
 
-/// Construct helpers used by the parser and by tests building ASTs by hand.
-ExprPtr make_int_literal(long value, int line = 0, int column = 0);
-ExprPtr make_ident(std::string name, int line = 0, int column = 0);
+/// Construct helpers used by the parser and by tests building ASTs by hand;
+/// the node comes from `arena` when one is given, else from the heap.
+ExprPtr make_int_literal(long value, int line = 0, int column = 0,
+                         AstArena* arena = nullptr);
+ExprPtr make_ident(std::string name, int line = 0, int column = 0,
+                   AstArena* arena = nullptr);
 
 }  // namespace llm4vv::frontend

@@ -199,13 +199,14 @@ class FortranParser {
   }
 
   Program run() {
-    Program program;
+    Program program(std::make_unique<AstArena>());
+    arena_ = program.arena.get();
     FunctionDecl main_fn;
     main_fn.name = "main";
     main_fn.return_type = Type{BaseType::kInt, 0, false, 0};
     main_fn.line = 1;
 
-    auto body = std::make_unique<Stmt>();
+    auto body = arena_->make<Stmt>();
     body->kind = StmtKind::kCompound;
     body->line = 1;
 
@@ -238,9 +239,9 @@ class FortranParser {
     if (cursor_ < lines_.size()) ++cursor_;
 
     // Implicit `return errs`-less fallthrough: return 0.
-    auto ret = std::make_unique<Stmt>();
+    auto ret = arena_->make<Stmt>();
     ret->kind = StmtKind::kReturn;
-    ret->expr = make_int_literal(0);
+    ret->expr = make_int_literal(0, 0, 0, arena_);
     body->body.push_back(std::move(ret));
 
     main_fn.body = std::move(body);
@@ -308,7 +309,7 @@ class FortranParser {
   }
 
   /// Parses statements until a terminator of `kind` (left unconsumed).
-  void parse_block(std::vector<StmtPtr>& out, BlockKind kind) {
+  void parse_block(AstVector<StmtPtr>& out, BlockKind kind) {
     while (cursor_ < lines_.size()) {
       const FLine& line = lines_[cursor_];
       if (is_terminator(line, kind)) return;
@@ -330,7 +331,7 @@ class FortranParser {
 
     if (line.is_pragma) {
       ++cursor_;
-      auto stmt = std::make_unique<Stmt>();
+      auto stmt = arena_->make<Stmt>();
       stmt->kind = StmtKind::kPragma;
       stmt->line = lineno;
       stmt->pragma_text = line.pragma_text;
@@ -368,30 +369,30 @@ class FortranParser {
       long code = 0;
       if (peek().kind == FTok::kInt) code = advance().int_value;
       ++cursor_;
-      auto stmt = std::make_unique<Stmt>();
+      auto stmt = arena_->make<Stmt>();
       stmt->kind = StmtKind::kReturn;
       stmt->line = lineno;
-      stmt->expr = make_int_literal(code, lineno);
+      stmt->expr = make_int_literal(code, lineno, 0, arena_);
       return stmt;
     }
     if (kw == "return") {
       ++cursor_;
-      auto stmt = std::make_unique<Stmt>();
+      auto stmt = arena_->make<Stmt>();
       stmt->kind = StmtKind::kReturn;
       stmt->line = lineno;
-      stmt->expr = make_int_literal(0, lineno);
+      stmt->expr = make_int_literal(0, lineno, 0, arena_);
       return stmt;
     }
     if (kw == "exit") {  // loop exit
       ++cursor_;
-      auto stmt = std::make_unique<Stmt>();
+      auto stmt = arena_->make<Stmt>();
       stmt->kind = StmtKind::kBreak;
       stmt->line = lineno;
       return stmt;
     }
     if (kw == "cycle") {
       ++cursor_;
-      auto stmt = std::make_unique<Stmt>();
+      auto stmt = arena_->make<Stmt>();
       stmt->kind = StmtKind::kContinue;
       stmt->line = lineno;
       return stmt;
@@ -433,7 +434,7 @@ class FortranParser {
     }
     advance();
 
-    auto stmt = std::make_unique<Stmt>();
+    auto stmt = arena_->make<Stmt>();
     stmt->kind = StmtKind::kDecl;
     stmt->line = lineno;
     for (;;) {
@@ -458,12 +459,12 @@ class FortranParser {
           ExprPtr extent = parse_expr();
           expect(FTok::kRParen, lineno);
           decl.type.is_array = true;
-          auto plus1 = std::make_unique<Expr>();
+          auto plus1 = arena_->make<Expr>();
           plus1->kind = ExprKind::kBinary;
           plus1->text = "+";
           plus1->line = lineno;
           plus1->lhs = std::move(extent);
-          plus1->rhs = make_int_literal(1, lineno);
+          plus1->rhs = make_int_literal(1, lineno, 0, arena_);
           decl.array_extent = std::move(plus1);
           array_names_.insert(decl.name);
         }
@@ -499,38 +500,38 @@ class FortranParser {
     ExprPtr hi = parse_expr();
     ++cursor_;  // done with the do-line
 
-    auto stmt = std::make_unique<Stmt>();
+    auto stmt = arena_->make<Stmt>();
     stmt->kind = StmtKind::kFor;
     stmt->line = lineno;
 
-    auto init = std::make_unique<Stmt>();
+    auto init = arena_->make<Stmt>();
     init->kind = StmtKind::kExpr;
     init->line = lineno;
-    auto assign = std::make_unique<Expr>();
+    auto assign = arena_->make<Expr>();
     assign->kind = ExprKind::kAssign;
     assign->text = "=";
     assign->line = lineno;
-    assign->lhs = make_ident(var, lineno);
+    assign->lhs = make_ident(var, lineno, 0, arena_);
     assign->rhs = std::move(lo);
     init->expr = std::move(assign);
     stmt->init_stmt = std::move(init);
 
-    auto cond = std::make_unique<Expr>();
+    auto cond = arena_->make<Expr>();
     cond->kind = ExprKind::kBinary;
     cond->text = "<=";
     cond->line = lineno;
-    cond->lhs = make_ident(var, lineno);
+    cond->lhs = make_ident(var, lineno, 0, arena_);
     cond->rhs = std::move(hi);
     stmt->expr = std::move(cond);
 
-    auto step = std::make_unique<Expr>();
+    auto step = arena_->make<Expr>();
     step->kind = ExprKind::kPostfix;
     step->text = "++";
     step->line = lineno;
-    step->lhs = make_ident(var, lineno);
+    step->lhs = make_ident(var, lineno, 0, arena_);
     stmt->step_expr = std::move(step);
 
-    auto body = std::make_unique<Stmt>();
+    auto body = arena_->make<Stmt>();
     body->kind = StmtKind::kCompound;
     body->line = lineno;
     parse_block(body->body, BlockKind::kDo);
@@ -543,7 +544,7 @@ class FortranParser {
     advance();  // 'if'
     expect(FTok::kLParen, lineno);
     ExprPtr cond = parse_paren_expr_rest();
-    auto stmt = std::make_unique<Stmt>();
+    auto stmt = arena_->make<Stmt>();
     stmt->kind = StmtKind::kIf;
     stmt->line = lineno;
     stmt->expr = std::move(cond);
@@ -551,7 +552,7 @@ class FortranParser {
     if (peek().kind == FTok::kIdent && peek().text == "then") {
       advance();
       ++cursor_;
-      auto then_body = std::make_unique<Stmt>();
+      auto then_body = arena_->make<Stmt>();
       then_body->kind = StmtKind::kCompound;
       then_body->line = lineno;
       parse_block(then_body->body, BlockKind::kIf);
@@ -561,7 +562,7 @@ class FortranParser {
           lines_[cursor_].toks[0].kind == FTok::kIdent &&
           lines_[cursor_].toks[0].text == "else") {
         ++cursor_;
-        auto else_body = std::make_unique<Stmt>();
+        auto else_body = arena_->make<Stmt>();
         else_body->kind = StmtKind::kCompound;
         else_body->line = lineno;
         parse_block(else_body->body, BlockKind::kIf);
@@ -586,7 +587,7 @@ class FortranParser {
       if (kw == "exit") {
         advance();
         ++cursor_;
-        auto s = std::make_unique<Stmt>();
+        auto s = arena_->make<Stmt>();
         s->kind = StmtKind::kBreak;
         s->line = lineno;
         return s;
@@ -594,7 +595,7 @@ class FortranParser {
       if (kw == "cycle") {
         advance();
         ++cursor_;
-        auto s = std::make_unique<Stmt>();
+        auto s = arena_->make<Stmt>();
         s->kind = StmtKind::kContinue;
         s->line = lineno;
         return s;
@@ -604,10 +605,10 @@ class FortranParser {
         long code = 0;
         if (peek().kind == FTok::kInt) code = advance().int_value;
         ++cursor_;
-        auto s = std::make_unique<Stmt>();
+        auto s = arena_->make<Stmt>();
         s->kind = StmtKind::kReturn;
         s->line = lineno;
-        s->expr = make_int_literal(code, lineno);
+        s->expr = make_int_literal(code, lineno, 0, arena_);
         return s;
       }
       return parse_assignment_stmt(lineno);
@@ -627,7 +628,7 @@ class FortranParser {
       return nullptr;
     }
     const std::string name = advance().text;
-    auto call = std::make_unique<Expr>();
+    auto call = arena_->make<Expr>();
     call->kind = ExprKind::kCall;
     call->text = name;
     call->line = lineno;
@@ -643,7 +644,7 @@ class FortranParser {
       expect(FTok::kRParen, lineno);
     }
     ++cursor_;
-    auto stmt = std::make_unique<Stmt>();
+    auto stmt = arena_->make<Stmt>();
     stmt->kind = StmtKind::kExpr;
     stmt->line = lineno;
     stmt->expr = std::move(call);
@@ -660,7 +661,7 @@ class FortranParser {
       return nullptr;
     }
     const std::string name = advance().text;
-    auto stmt = std::make_unique<Stmt>();
+    auto stmt = arena_->make<Stmt>();
     stmt->kind = StmtKind::kExpr;
     stmt->line = lineno;
     if (alloc) {
@@ -669,31 +670,31 @@ class FortranParser {
       ExprPtr extent = parse_expr();
       expect(FTok::kRParen, lineno);
       expect(FTok::kRParen, lineno);
-      auto plus1 = std::make_unique<Expr>();
+      auto plus1 = arena_->make<Expr>();
       plus1->kind = ExprKind::kBinary;
       plus1->text = "+";
       plus1->line = lineno;
       plus1->lhs = std::move(extent);
-      plus1->rhs = make_int_literal(1, lineno);
-      auto call = std::make_unique<Expr>();
+      plus1->rhs = make_int_literal(1, lineno, 0, arena_);
+      auto call = arena_->make<Expr>();
       call->kind = ExprKind::kCall;
       call->text = "malloc";
       call->line = lineno;
       call->args.push_back(std::move(plus1));
-      auto assign = std::make_unique<Expr>();
+      auto assign = arena_->make<Expr>();
       assign->kind = ExprKind::kAssign;
       assign->text = "=";
       assign->line = lineno;
-      assign->lhs = make_ident(name, lineno);
+      assign->lhs = make_ident(name, lineno, 0, arena_);
       assign->rhs = std::move(call);
       stmt->expr = std::move(assign);
     } else {
       expect(FTok::kRParen, lineno);
-      auto call = std::make_unique<Expr>();
+      auto call = arena_->make<Expr>();
       call->kind = ExprKind::kCall;
       call->text = "free";
       call->line = lineno;
-      call->args.push_back(make_ident(name, lineno));
+      call->args.push_back(make_ident(name, lineno, 0, arena_));
       stmt->expr = std::move(call);
     }
     ++cursor_;
@@ -704,13 +705,13 @@ class FortranParser {
     advance();  // 'print'
     if (peek().kind == FTok::kStar) advance();
     if (peek().kind == FTok::kComma) advance();
-    auto call = std::make_unique<Expr>();
+    auto call = arena_->make<Expr>();
     call->kind = ExprKind::kCall;
     call->text = "f90_print";
     call->line = lineno;
     while (peek().kind != FTok::kEnd) {
       if (peek().kind == FTok::kString) {
-        auto s = std::make_unique<Expr>();
+        auto s = arena_->make<Expr>();
         s->kind = ExprKind::kStringLit;
         s->text = advance().text;
         s->line = lineno;
@@ -722,7 +723,7 @@ class FortranParser {
       advance();
     }
     ++cursor_;
-    auto stmt = std::make_unique<Stmt>();
+    auto stmt = arena_->make<Stmt>();
     stmt->kind = StmtKind::kExpr;
     stmt->line = lineno;
     stmt->expr = std::move(call);
@@ -740,13 +741,13 @@ class FortranParser {
     advance();
     ExprPtr rhs = parse_expr();
     ++cursor_;
-    auto assign = std::make_unique<Expr>();
+    auto assign = arena_->make<Expr>();
     assign->kind = ExprKind::kAssign;
     assign->text = "=";
     assign->line = lineno;
     assign->lhs = std::move(lhs);
     assign->rhs = std::move(rhs);
-    auto stmt = std::make_unique<Stmt>();
+    auto stmt = arena_->make<Stmt>();
     stmt->kind = StmtKind::kExpr;
     stmt->line = lineno;
     stmt->expr = std::move(assign);
@@ -882,7 +883,7 @@ class FortranParser {
       } else if (peek().kind == FTok::kPower) {
         advance();
         // a ** b  =>  pow(a, b)
-        auto call = std::make_unique<Expr>();
+        auto call = arena_->make<Expr>();
         call->kind = ExprKind::kCall;
         call->text = "pow";
         call->line = cur_line_->lineno;
@@ -897,7 +898,7 @@ class FortranParser {
   ExprPtr parse_unary_expr() {
     if (peek().kind == FTok::kMinus) {
       advance();
-      auto e = std::make_unique<Expr>();
+      auto e = arena_->make<Expr>();
       e->kind = ExprKind::kUnary;
       e->text = "-";
       e->line = cur_line_->lineno;
@@ -906,7 +907,7 @@ class FortranParser {
     }
     if (peek().kind == FTok::kNot) {
       advance();
-      auto e = std::make_unique<Expr>();
+      auto e = arena_->make<Expr>();
       e->kind = ExprKind::kUnary;
       e->text = "!";
       e->line = cur_line_->lineno;
@@ -925,11 +926,11 @@ class FortranParser {
     const FTok& tok = peek();
     if (tok.kind == FTok::kInt) {
       advance();
-      return make_int_literal(tok.int_value, lineno);
+      return make_int_literal(tok.int_value, lineno, 0, arena_);
     }
     if (tok.kind == FTok::kFloat) {
       advance();
-      auto e = std::make_unique<Expr>();
+      auto e = arena_->make<Expr>();
       e->kind = ExprKind::kFloatLit;
       e->float_value = tok.float_value;
       e->line = lineno;
@@ -937,7 +938,7 @@ class FortranParser {
     }
     if (tok.kind == FTok::kString) {
       advance();
-      auto e = std::make_unique<Expr>();
+      auto e = arena_->make<Expr>();
       e->kind = ExprKind::kStringLit;
       e->text = tok.text;
       e->line = lineno;
@@ -955,14 +956,14 @@ class FortranParser {
         if (array_names_.count(name)) {
           ExprPtr idx = parse_expr();
           expect(FTok::kRParen, lineno);
-          auto e = std::make_unique<Expr>();
+          auto e = arena_->make<Expr>();
           e->kind = ExprKind::kIndex;
           e->line = lineno;
-          e->lhs = make_ident(name, lineno);
+          e->lhs = make_ident(name, lineno, 0, arena_);
           e->rhs = std::move(idx);
           return e;
         }
-        auto call = std::make_unique<Expr>();
+        auto call = arena_->make<Expr>();
         call->kind = ExprKind::kCall;
         // Intrinsic name mapping: abs on reals is fabs in the VM runtime;
         // mod(a,b) has no C builtin equivalent, map to a % b below;
@@ -978,7 +979,7 @@ class FortranParser {
         }
         expect(FTok::kRParen, lineno);
         if (call->text == "mod" && call->args.size() == 2) {
-          auto e = std::make_unique<Expr>();
+          auto e = arena_->make<Expr>();
           e->kind = ExprKind::kBinary;
           e->text = "%";
           e->line = lineno;
@@ -989,7 +990,7 @@ class FortranParser {
         if ((call->text == "int" || call->text == "real" ||
              call->text == "dble") &&
             call->args.size() == 1) {
-          auto e = std::make_unique<Expr>();
+          auto e = arena_->make<Expr>();
           e->kind = ExprKind::kCast;
           e->line = lineno;
           e->cast_type.base = call->text == "int" ? BaseType::kLong
@@ -999,16 +1000,16 @@ class FortranParser {
         }
         return call;
       }
-      return make_ident(name, lineno);
+      return make_ident(name, lineno, 0, arena_);
     }
     diags_.error(DiagCode::kUnexpectedToken, lineno, 1,
                  "expected an expression");
     advance();
-    return make_int_literal(0, lineno);
+    return make_int_literal(0, lineno, 0, arena_);
   }
 
   ExprPtr make_binary(const char* op, ExprPtr lhs, ExprPtr rhs) {
-    auto e = std::make_unique<Expr>();
+    auto e = arena_->make<Expr>();
     e->kind = ExprKind::kBinary;
     e->text = op;
     e->line = cur_line_->lineno;
@@ -1018,7 +1019,7 @@ class FortranParser {
   }
 
   static void collect_from_stmt(const Stmt* stmt,
-                                std::vector<const Stmt*>& out) {
+                                AstVector<const Stmt*>& out) {
     if (stmt == nullptr) return;
     if (stmt->kind == StmtKind::kPragma) out.push_back(stmt);
     for (const auto& child : stmt->body) collect_from_stmt(child.get(), out);
@@ -1035,6 +1036,7 @@ class FortranParser {
 
   DiagnosticEngine& diags_;
   const ParserOptions& options_;
+  AstArena* arena_ = nullptr;  ///< the Program's, set by run()
   std::vector<FLine> lines_;
   std::size_t cursor_ = 0;   ///< current line
   FLine* cur_line_ = nullptr;

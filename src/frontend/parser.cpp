@@ -34,7 +34,8 @@ class Parser {
       : tokens_(tokens), diags_(diags), options_(options) {}
 
   Program run() {
-    Program program;
+    Program program(std::make_unique<AstArena>());
+    arena_ = program.arena.get();
     try {
       while (!at_end()) {
         try {
@@ -165,7 +166,7 @@ class Parser {
   void parse_top_level(Program& program) {
     if (match(TokenKind::kHashInclude)) return;
     if (check(TokenKind::kPragma)) {
-      auto stmt = std::make_unique<Stmt>();
+      auto stmt = arena_->make<Stmt>();
       stmt->kind = StmtKind::kPragma;
       stmt->line = peek().line;
       stmt->column = peek().column;
@@ -235,7 +236,7 @@ class Parser {
     program.functions.push_back(std::move(fn));
   }
 
-  void parse_declarator_list(std::vector<Declarator>& out, Type base_type,
+  void parse_declarator_list(AstVector<Declarator>& out, Type base_type,
                              const Token& first_name) {
     // `first_name` was already consumed by the caller.
     out.push_back(parse_declarator_tail(base_type, first_name));
@@ -275,7 +276,7 @@ class Parser {
 
   StmtPtr parse_compound() {
     const Token& open = expect(TokenKind::kLBrace, "to open a block");
-    auto stmt = std::make_unique<Stmt>();
+    auto stmt = arena_->make<Stmt>();
     stmt->kind = StmtKind::kCompound;
     stmt->line = open.line;
     stmt->column = open.column;
@@ -306,12 +307,12 @@ class Parser {
     if (match(TokenKind::kHashInclude)) {
       // An include in statement position is tolerated as a no-op (mutated
       // files sometimes splice one mid-function).
-      auto stmt = std::make_unique<Stmt>();
+      auto stmt = arena_->make<Stmt>();
       stmt->kind = StmtKind::kEmpty;
       return at(std::move(stmt));
     }
     if (check(TokenKind::kPragma)) {
-      auto stmt = std::make_unique<Stmt>();
+      auto stmt = arena_->make<Stmt>();
       stmt->kind = StmtKind::kPragma;
       stmt->pragma_text = advance().text;
       if (options_.pragma_takes_statement &&
@@ -322,7 +323,7 @@ class Parser {
     }
     if (check(TokenKind::kLBrace)) return parse_compound();
     if (match(TokenKind::kSemicolon)) {
-      auto stmt = std::make_unique<Stmt>();
+      auto stmt = arena_->make<Stmt>();
       stmt->kind = StmtKind::kEmpty;
       return at(std::move(stmt));
     }
@@ -333,7 +334,7 @@ class Parser {
       if (tok.is(Keyword::kFor)) return parse_for();
       if (tok.is(Keyword::kReturn)) {
         advance();
-        auto stmt = std::make_unique<Stmt>();
+        auto stmt = arena_->make<Stmt>();
         stmt->kind = StmtKind::kReturn;
         if (!check(TokenKind::kSemicolon)) stmt->expr = parse_expression();
         expect(TokenKind::kSemicolon, "after return statement");
@@ -341,7 +342,7 @@ class Parser {
       }
       if (tok.is(Keyword::kBreak) || tok.is(Keyword::kContinue)) {
         advance();
-        auto stmt = std::make_unique<Stmt>();
+        auto stmt = arena_->make<Stmt>();
         stmt->kind =
             tok.is(Keyword::kBreak) ? StmtKind::kBreak : StmtKind::kContinue;
         expect(TokenKind::kSemicolon, "after jump statement");
@@ -356,7 +357,7 @@ class Parser {
       throw ParseError{};
     }
 
-    auto stmt = std::make_unique<Stmt>();
+    auto stmt = arena_->make<Stmt>();
     stmt->kind = StmtKind::kExpr;
     stmt->expr = parse_expression();
     expect(TokenKind::kSemicolon, "after expression statement");
@@ -364,7 +365,7 @@ class Parser {
   }
 
   StmtPtr parse_decl_statement() {
-    auto stmt = std::make_unique<Stmt>();
+    auto stmt = arena_->make<Stmt>();
     stmt->kind = StmtKind::kDecl;
     stmt->line = peek().line;
     stmt->column = peek().column;
@@ -377,7 +378,7 @@ class Parser {
 
   StmtPtr parse_if() {
     const Token& kw = advance();  // 'if'
-    auto stmt = std::make_unique<Stmt>();
+    auto stmt = arena_->make<Stmt>();
     stmt->kind = StmtKind::kIf;
     stmt->line = kw.line;
     stmt->column = kw.column;
@@ -394,7 +395,7 @@ class Parser {
 
   StmtPtr parse_while() {
     const Token& kw = advance();  // 'while'
-    auto stmt = std::make_unique<Stmt>();
+    auto stmt = arena_->make<Stmt>();
     stmt->kind = StmtKind::kWhile;
     stmt->line = kw.line;
     stmt->column = kw.column;
@@ -407,7 +408,7 @@ class Parser {
 
   StmtPtr parse_do_while() {
     const Token& kw = advance();  // 'do'
-    auto stmt = std::make_unique<Stmt>();
+    auto stmt = arena_->make<Stmt>();
     stmt->kind = StmtKind::kDoWhile;
     stmt->line = kw.line;
     stmt->column = kw.column;
@@ -426,7 +427,7 @@ class Parser {
 
   StmtPtr parse_for() {
     const Token& kw = advance();  // 'for'
-    auto stmt = std::make_unique<Stmt>();
+    auto stmt = arena_->make<Stmt>();
     stmt->kind = StmtKind::kFor;
     stmt->line = kw.line;
     stmt->column = kw.column;
@@ -436,7 +437,7 @@ class Parser {
     } else if (looks_like_type()) {
       stmt->init_stmt = parse_decl_statement();
     } else {
-      auto init = std::make_unique<Stmt>();
+      auto init = arena_->make<Stmt>();
       init->kind = StmtKind::kExpr;
       init->line = peek().line;
       init->column = peek().column;
@@ -463,7 +464,7 @@ class Parser {
         k == TokenKind::kMinusEq || k == TokenKind::kStarEq ||
         k == TokenKind::kSlashEq) {
       const Token& op = advance();
-      auto expr = std::make_unique<Expr>();
+      auto expr = arena_->make<Expr>();
       expr->kind = ExprKind::kAssign;
       expr->text = op.text;
       expr->line = op.line;
@@ -479,7 +480,7 @@ class Parser {
     ExprPtr cond = parse_binary(0);
     if (!check(TokenKind::kQuestion)) return cond;
     const Token& q = advance();
-    auto expr = std::make_unique<Expr>();
+    auto expr = arena_->make<Expr>();
     expr->kind = ExprKind::kTernary;
     expr->line = q.line;
     expr->column = q.column;
@@ -521,7 +522,7 @@ class Parser {
       if (prec == 0 || prec < min_prec) return lhs;
       const Token& op = advance();
       ExprPtr rhs = parse_binary(prec + 1);
-      auto expr = std::make_unique<Expr>();
+      auto expr = arena_->make<Expr>();
       expr->kind = ExprKind::kBinary;
       expr->text = op.text;
       expr->line = op.line;
@@ -541,7 +542,7 @@ class Parser {
         k == TokenKind::kMinusMinus || k == TokenKind::kPlus) {
       advance();
       if (k == TokenKind::kPlus) return parse_unary();  // unary plus: no-op
-      auto expr = std::make_unique<Expr>();
+      auto expr = arena_->make<Expr>();
       expr->kind = ExprKind::kUnary;
       expr->text = tok.text;
       expr->line = tok.line;
@@ -557,7 +558,7 @@ class Parser {
     for (;;) {
       if (check(TokenKind::kLParen)) {
         const Token& open = advance();
-        auto call = std::make_unique<Expr>();
+        auto call = arena_->make<Expr>();
         call->kind = ExprKind::kCall;
         call->line = open.line;
         call->column = open.column;
@@ -580,7 +581,7 @@ class Parser {
       }
       if (check(TokenKind::kLBracket)) {
         const Token& open = advance();
-        auto index = std::make_unique<Expr>();
+        auto index = arena_->make<Expr>();
         index->kind = ExprKind::kIndex;
         index->line = open.line;
         index->column = open.column;
@@ -592,7 +593,7 @@ class Parser {
       }
       if (check(TokenKind::kPlusPlus) || check(TokenKind::kMinusMinus)) {
         const Token& op = advance();
-        auto post = std::make_unique<Expr>();
+        auto post = arena_->make<Expr>();
         post->kind = ExprKind::kPostfix;
         post->text = op.text;
         post->line = op.line;
@@ -610,7 +611,7 @@ class Parser {
     switch (tok.kind) {
       case TokenKind::kIntLiteral: {
         advance();
-        auto expr = std::make_unique<Expr>();
+        auto expr = arena_->make<Expr>();
         expr->kind = ExprKind::kIntLit;
         expr->int_value = std::strtol(tok.text.c_str(), nullptr, 0);
         expr->line = tok.line;
@@ -619,7 +620,7 @@ class Parser {
       }
       case TokenKind::kFloatLiteral: {
         advance();
-        auto expr = std::make_unique<Expr>();
+        auto expr = arena_->make<Expr>();
         expr->kind = ExprKind::kFloatLit;
         expr->float_value = std::strtod(tok.text.c_str(), nullptr);
         expr->line = tok.line;
@@ -628,7 +629,7 @@ class Parser {
       }
       case TokenKind::kStringLiteral: {
         advance();
-        auto expr = std::make_unique<Expr>();
+        auto expr = arena_->make<Expr>();
         expr->kind = ExprKind::kStringLit;
         expr->text = tok.text;
         expr->line = tok.line;
@@ -637,7 +638,7 @@ class Parser {
       }
       case TokenKind::kCharLiteral: {
         advance();
-        auto expr = std::make_unique<Expr>();
+        auto expr = arena_->make<Expr>();
         expr->kind = ExprKind::kCharLit;
         expr->int_value = tok.text.empty()
                               ? 0
@@ -648,13 +649,13 @@ class Parser {
       }
       case TokenKind::kIdentifier: {
         advance();
-        return make_ident(tok.text, tok.line, tok.column);
+        return make_ident(tok.text, tok.line, tok.column, arena_);
       }
       case TokenKind::kKeyword: {
         if (tok.is(Keyword::kSizeof)) {
           advance();
           expect(TokenKind::kLParen, "after sizeof");
-          auto expr = std::make_unique<Expr>();
+          auto expr = arena_->make<Expr>();
           expr->kind = ExprKind::kSizeof;
           expr->line = tok.line;
           expr->column = tok.column;
@@ -669,7 +670,7 @@ class Parser {
         if (tok.is(Keyword::kTrue) || tok.is(Keyword::kFalse)) {
           advance();
           return make_int_literal(tok.is(Keyword::kTrue) ? 1 : 0, tok.line,
-                                  tok.column);
+                                  tok.column, arena_);
         }
         error_here("unexpected keyword '" + tok.text + "' in expression");
         throw ParseError{};
@@ -678,7 +679,7 @@ class Parser {
         advance();
         if (looks_like_type()) {
           // Cast expression.
-          auto expr = std::make_unique<Expr>();
+          auto expr = arena_->make<Expr>();
           expr->kind = ExprKind::kCast;
           expr->line = tok.line;
           expr->column = tok.column;
@@ -701,7 +702,7 @@ class Parser {
   // -- pragma collection ---------------------------------------------------
 
   static void collect_from_stmt(const Stmt* stmt,
-                                std::vector<const Stmt*>& out) {
+                                AstVector<const Stmt*>& out) {
     if (stmt == nullptr) return;
     if (stmt->kind == StmtKind::kPragma) out.push_back(stmt);
     for (const auto& child : stmt->body) collect_from_stmt(child.get(), out);
@@ -723,6 +724,7 @@ class Parser {
   DiagnosticEngine& diags_;
   const ParserOptions& options_;
   std::size_t pos_ = 0;
+  AstArena* arena_ = nullptr;  ///< the Program's, set by run()
 };
 
 }  // namespace

@@ -1,6 +1,8 @@
 #include "llm/coder_model.hpp"
 
 #include <algorithm>
+#include <cstring>
+#include <string_view>
 
 #include "llm/tokenizer.hpp"
 #include "support/rng.hpp"
@@ -111,6 +113,19 @@ std::string render_analysis(const PromptPerception& view, bool invalid,
   return out;
 }
 
+/// Length of the longest common prefix of `a` and `b`.
+std::size_t common_prefix(std::string_view a, std::string_view b) {
+  const std::size_t n = std::min(a.size(), b.size());
+  constexpr std::size_t kStride = 32;
+  std::size_t i = 0;
+  while (i + kStride <= n &&
+         std::memcmp(a.data() + i, b.data() + i, kStride) == 0) {
+    i += kStride;
+  }
+  while (i < n && a[i] == b[i]) ++i;
+  return i;
+}
+
 }  // namespace
 
 SimulatedCoderModel::SimulatedCoderModel(CoderModelConfig config)
@@ -148,12 +163,68 @@ double SimulatedCoderModel::invalid_probability(
   return profile.false_invalid_rate;
 }
 
+SimulatedCoderModel::PromptStats SimulatedCoderModel::prompt_stats(
+    const std::string& prompt) const {
+  std::unique_ptr<Reference> ref;
+  {
+    support::MutexLock lock(references_mutex_);
+    if (!references_.empty()) {
+      ref = std::move(references_.back());
+      references_.pop_back();
+    }
+  }
+  if (ref == nullptr) ref = std::make_unique<Reference>();
+
+  const Tokenizer& tokenizer = default_tokenizer();
+  const std::string_view text(prompt);
+  const std::size_t common = common_prefix(text, ref->prompt);
+  if (common != text.size() || common != ref->prompt.size()) {
+    // Keep the checkpoints inside the common prefix. One exactly at its
+    // end is shared only if the new prompt's byte there keeps it a cut
+    // (the start of the text and the end of the prompt always are).
+    auto& checkpoints = ref->checkpoints;
+    checkpoints.erase(
+        std::upper_bound(checkpoints.begin(), checkpoints.end(), common,
+                         [](std::size_t offset, const Checkpoint& cp) {
+                           return offset < cp.offset;
+                         }),
+        checkpoints.end());
+    const std::size_t last = checkpoints.back().offset;
+    if (last == common && last != 0 && last != text.size() &&
+        !tokenizer.is_safe_cut(text, last)) {
+      checkpoints.pop_back();
+    }
+
+    const Checkpoint resume = checkpoints.back();
+    std::uint64_t hash = resume.hash;
+    std::size_t hashed = resume.offset;
+    const std::size_t tokens = tokenizer.count_tokens_from(
+        text, resume.offset, resume.tokens,
+        [&](std::size_t offset, std::size_t tokens_before) {
+          hash = support::fnv1a64_extend(
+              hash, text.substr(hashed, offset - hashed));
+          hashed = offset;
+          checkpoints.push_back({offset, tokens_before, hash});
+        });
+    ref->stats = {tokens, support::fnv1a64_extend(hash, text.substr(hashed))};
+    ref->prompt.assign(prompt);
+  }
+
+  const PromptStats stats = ref->stats;
+  support::MutexLock lock(references_mutex_);
+  if (references_.size() < kMaxReferences) {
+    references_.push_back(std::move(ref));
+  }
+  return stats;
+}
+
 Completion SimulatedCoderModel::render(const std::string& prompt,
+                                       const PromptStats& stats,
                                        const GenerationParams& params) const {
   const PromptPerception view = perceive(prompt);
   const JudgeProfile& profile = judge_profile(view.flavor, view.style);
 
-  support::Rng rng(support::fnv1a64(prompt) ^ config_.seed ^ params.seed);
+  support::Rng rng(stats.hash ^ config_.seed ^ params.seed);
   const bool invalid = rng.chance(invalid_probability(view));
   const bool violate_protocol = rng.chance(profile.protocol_violation_rate);
 
@@ -175,8 +246,7 @@ Completion SimulatedCoderModel::render(const std::string& prompt,
 
   Completion completion;
   const Tokenizer& tokenizer = default_tokenizer();
-  completion.prompt_tokens =
-      std::min(tokenizer.count_tokens(prompt), config_.context_window);
+  completion.prompt_tokens = std::min(stats.tokens, config_.context_window);
   completion.completion_tokens = tokenizer.count_tokens(text);
   completion.text = std::move(text);
   return completion;
@@ -190,17 +260,18 @@ double SimulatedCoderModel::sequential_latency(
              config_.decode_tokens_per_second;
 }
 
-FaultKind SimulatedCoderModel::fault_for(const std::string& prompt,
+FaultKind SimulatedCoderModel::fault_for(std::uint64_t prompt_hash,
                                          const GenerationParams& params)
     const {
   if (config_.faults == nullptr) return FaultKind::kNone;
-  return config_.faults->decide(support::fnv1a64(prompt), params.attempt);
+  return config_.faults->decide(prompt_hash, params.attempt);
 }
 
 Completion SimulatedCoderModel::generate(const std::string& prompt,
                                          const GenerationParams& params)
     const {
-  const FaultKind fault = fault_for(prompt, params);
+  const PromptStats stats = prompt_stats(prompt);
+  const FaultKind fault = fault_for(stats.hash, params);
   if (fault == FaultKind::kPermanent) {
     throw PermanentModelError(
         "SimulatedCoderModel: injected permanent fault");
@@ -210,7 +281,7 @@ Completion SimulatedCoderModel::generate(const std::string& prompt,
         "SimulatedCoderModel: injected transient fault (attempt " +
         std::to_string(params.attempt) + ")");
   }
-  Completion completion = render(prompt, params);
+  Completion completion = render(prompt, stats, params);
   completion.latency_seconds = sequential_latency(completion);
   if (fault == FaultKind::kSlow) {
     completion.latency_seconds *= config_.faults->config().slow_latency_factor;
@@ -226,13 +297,18 @@ std::vector<Completion> SimulatedCoderModel::generate_batch(
   // having). A lone permanently-faulted prompt fails permanently so the
   // retry layer can give up on it; any other faulted pass fails
   // transiently — after a split, the healthy prompts' redraws clear.
+  std::vector<PromptStats> stats;
+  stats.reserve(prompts.size());
+  for (const std::string& prompt : prompts) {
+    stats.push_back(prompt_stats(prompt));
+  }
   std::vector<FaultKind> faults;
   if (config_.faults != nullptr) {
     faults.reserve(prompts.size());
     std::size_t errors = 0;
     bool all_permanent = !prompts.empty();
-    for (const std::string& prompt : prompts) {
-      const FaultKind fault = fault_for(prompt, params);
+    for (const PromptStats& prompt : stats) {
+      const FaultKind fault = fault_for(prompt.hash, params);
       faults.push_back(fault);
       const bool is_error =
           fault == FaultKind::kTransient || fault == FaultKind::kPermanent;
@@ -253,8 +329,8 @@ std::vector<Completion> SimulatedCoderModel::generate_batch(
 
   std::vector<Completion> completions;
   completions.reserve(prompts.size());
-  for (const std::string& prompt : prompts) {
-    completions.push_back(render(prompt, params));
+  for (std::size_t i = 0; i < prompts.size(); ++i) {
+    completions.push_back(render(prompts[i], stats[i], params));
   }
   if (completions.empty()) return completions;
 

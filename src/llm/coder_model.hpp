@@ -2,11 +2,15 @@
 
 #include <cstdint>
 #include <memory>
+#include <string>
+#include <vector>
 
 #include "llm/faults.hpp"
 #include "llm/model.hpp"
 #include "llm/perception.hpp"
 #include "llm/profiles.hpp"
+#include "support/rng.hpp"
+#include "support/thread_annotations.hpp"
 
 namespace llm4vv::llm {
 
@@ -43,10 +47,10 @@ struct CoderModelConfig {
 
 /// Behavioural simulator of deepseek-coder-33b-instruct as a V&V judge.
 ///
-/// generate() is pure and thread-safe: it perceives the prompt (style,
-/// flavor, embedded code, quoted tool outputs — see perception.hpp), draws
-/// a verdict from the calibrated JudgeProfile for that condition, renders a
-/// step-by-step analysis ending in the paper's exact
+/// generate() is deterministic and thread-safe: it perceives the prompt
+/// (style, flavor, embedded code, quoted tool outputs — see perception.hpp),
+/// draws a verdict from the calibrated JudgeProfile for that condition,
+/// renders a step-by-step analysis ending in the paper's exact
 /// `FINAL JUDGEMENT: ...` protocol (with a small calibrated rate of
 /// protocol violations), and prices the call with the A100 latency model.
 ///
@@ -55,6 +59,15 @@ struct CoderModelConfig {
 /// prompt style always receives the same verdict within an experiment —
 /// mirroring greedy/low-temperature decoding — while different experiment
 /// seeds give fresh draws for error bars.
+///
+/// Prompt prefixes. Every prompt starts with the same criteria and protocol
+/// scaffold, so the model keeps a few recently counted prompts with their
+/// safe cuts (see Tokenizer): at each, the token count and the FNV-1a state
+/// so far. A new prompt is compared byte by byte with one of them and
+/// counted and hashed only from the last cut inside the common prefix; it
+/// then replaces that reference. The cut rule makes the result exact, so
+/// token counts, hashes, completions and prices equal a fresh model's for
+/// every prompt in every order; only wall-clock time is saved.
 class SimulatedCoderModel final : public LanguageModel {
  public:
   explicit SimulatedCoderModel(CoderModelConfig config = {});
@@ -79,17 +92,50 @@ class SimulatedCoderModel final : public LanguageModel {
   double invalid_probability(const PromptPerception& perception) const;
 
  private:
+  /// What a call needs of the prompt text besides its perception: the
+  /// token count and the FNV-1a hash (the fault draws and the judgment RNG
+  /// both key on it, so it is computed once per prompt).
+  struct PromptStats {
+    std::size_t tokens = 0;
+    std::uint64_t hash = 0;
+  };
+  /// A resume point of one counted prompt: a safe cut, the tokens before
+  /// it and the FNV-1a state before it.
+  struct Checkpoint {
+    std::size_t offset = 0;
+    std::size_t tokens = 0;
+    std::uint64_t hash = 0;
+  };
+  /// A counted prompt. `checkpoints` starts with the text's start and
+  /// lists every safe cut in order.
+  struct Reference {
+    std::string prompt;
+    std::vector<Checkpoint> checkpoints{{0, 0, support::kFnv1a64Basis}};
+    PromptStats stats{0, support::kFnv1a64Basis};
+  };
+  /// References kept between calls; a render that finds none free counts
+  /// from scratch into a new one, and the surplus is dropped on return.
+  static constexpr std::size_t kMaxReferences = 4;
+
+  /// Token count and hash of `prompt`, resumed from a reference's prefix.
+  /// The reference is taken out of the pool for the call, so no lock is
+  /// held while counting.
+  PromptStats prompt_stats(const std::string& prompt) const
+      EXCLUDES(references_mutex_);
   /// Deterministic completion text + token counts (latency left at zero).
-  Completion render(const std::string& prompt,
+  Completion render(const std::string& prompt, const PromptStats& stats,
                     const GenerationParams& params) const;
   /// Sequential latency of one completion: full prefill + own decode.
   double sequential_latency(const Completion& completion) const;
-  /// The fault plan's decision for one prompt at params.attempt (kNone
-  /// when no plan is configured).
-  FaultKind fault_for(const std::string& prompt,
+  /// The fault plan's decision for a prompt with this hash at
+  /// params.attempt (kNone when no plan is configured).
+  FaultKind fault_for(std::uint64_t prompt_hash,
                       const GenerationParams& params) const;
 
   CoderModelConfig config_;
+  mutable support::Mutex references_mutex_;
+  mutable std::vector<std::unique_ptr<Reference>> references_
+      GUARDED_BY(references_mutex_);
 };
 
 }  // namespace llm4vv::llm

@@ -1,6 +1,7 @@
 #include "llm/tokenizer.hpp"
 
 #include <algorithm>
+#include <cstdint>
 #include <stdexcept>
 
 namespace llm4vv::llm {
@@ -80,33 +81,52 @@ Tokenizer::Tokenizer() {
               });
   }
 
-  // Compile the trie. Node 0 is the root; the 256 byte tokens guarantee
-  // every depth-1 node exists and is terminal, so matching never fails.
+  if (vocab_.size() > INT16_MAX) {
+    throw std::length_error("Tokenizer: vocabulary too large");
+  }
+  // Byte classes: every byte seen after a token's first byte gets its own
+  // class; the rest share class 0, which has no transitions.
+  for (const std::string& token : vocab_) {
+    for (std::size_t i = 1; i < token.size(); ++i) {
+      auto& cls = byte_class_[static_cast<unsigned char>(token[i])];
+      if (cls == 0) cls = static_cast<std::uint16_t>(classes_++);
+    }
+    for (std::size_t i = 0; i + 1 < token.size(); ++i) {
+      if (token[i] == '\n') {
+        joins_newline_[static_cast<unsigned char>(token[i + 1])] = true;
+      }
+    }
+  }
+
+  // Compile the trie. The 256 byte tokens guarantee every depth-1 node
+  // exists and is terminal, so matching never fails.
   const auto new_node = [this] {
-    nodes_.emplace_back();
-    std::fill(std::begin(nodes_.back().next), std::end(nodes_.back().next),
-              -1);
-    nodes_.back().token = -1;
-    return static_cast<std::int32_t>(nodes_.size() - 1);
+    const std::size_t node = token_.size();
+    if (node > UINT16_MAX) {
+      throw std::length_error("Tokenizer: vocabulary trie too large");
+    }
+    token_.push_back(-1);
+    next_.resize(next_.size() + classes_, 0);
+    return static_cast<std::uint16_t>(node);
   };
-  nodes_.reserve(2048);
   new_node();  // root
   for (std::size_t id = 0; id < vocab_.size(); ++id) {
-    std::int32_t node = 0;
-    for (const char c : vocab_[id]) {
-      const auto byte = static_cast<unsigned char>(c);
-      if (nodes_[static_cast<std::size_t>(node)].next[byte] < 0) {
-        const std::int32_t child = new_node();
-        nodes_[static_cast<std::size_t>(node)].next[byte] = child;
+    const std::string& token = vocab_[id];
+    std::uint16_t& first = root_[static_cast<unsigned char>(token[0])];
+    if (first == 0) first = new_node();
+    std::uint32_t node = first;
+    for (std::size_t i = 1; i < token.size(); ++i) {
+      const std::size_t slot =
+          node * classes_ + byte_class_[static_cast<unsigned char>(token[i])];
+      if (next_[slot] == 0) {
+        const std::uint16_t child = new_node();
+        next_[slot] = child;
       }
-      node = nodes_[static_cast<std::size_t>(node)].next[byte];
+      node = next_[slot];
     }
     // Keep the first id for duplicate vocabulary strings (see the bucket
     // sort's tie-break above).
-    if (nodes_[static_cast<std::size_t>(node)].token < 0) {
-      nodes_[static_cast<std::size_t>(node)].token =
-          static_cast<std::int32_t>(id);
-    }
+    if (token_[node] < 0) token_[node] = static_cast<std::int16_t>(id);
   }
 }
 
@@ -137,15 +157,7 @@ std::string Tokenizer::decode(const std::vector<std::int32_t>& ids) const {
 }
 
 std::size_t Tokenizer::count_tokens(std::string_view text) const {
-  std::size_t count = 0;
-  std::size_t i = 0;
-  while (i < text.size()) {
-    std::size_t length = 0;
-    match_longest(text, i, length);
-    ++count;
-    i += length;
-  }
-  return count;
+  return count_tokens_from(text, 0, 0, [](std::size_t, std::size_t) {});
 }
 
 std::vector<std::int32_t> Tokenizer::encode_reference(

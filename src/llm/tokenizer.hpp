@@ -1,5 +1,6 @@
 #pragma once
 
+#include <array>
 #include <cstdint>
 #include <string>
 #include <string_view>
@@ -17,10 +18,18 @@ namespace llm4vv::llm {
 /// vocabulary ensures (~3.5 chars/token on corpus files, similar to
 /// deepseek-coder's tokenizer on the same text).
 ///
-/// Matching runs over a precompiled trie with flat 256-way transition
-/// tables, so finding the longest vocabulary fragment at a position is one
-/// table lookup per input byte instead of a string comparison per candidate
-/// token. `encode`, `encode_into`, and `count_tokens` all share this core.
+/// Matching runs over a precompiled trie, so finding the longest vocabulary
+/// fragment at a position is one table lookup per input byte instead of a
+/// string comparison per candidate token. `encode`, `encode_into`,
+/// `count_tokens` and `count_tokens_from` all share this core.
+///
+/// Safe cuts. Position `c` of a text is a safe cut when `text[c - 1]` is a
+/// newline and `text[c]` is not a byte that follows a non-final newline
+/// inside any vocabulary token (the set is derived from the vocabulary at
+/// construction). No token can then span `c`, so greedy longest-match has a
+/// token boundary there whatever the rest of the text is, and the count is
+/// additive: count(text) == count(text[0, c)) + count(text[c, end)). Any
+/// text that shares the bytes `text[0, c]` has the same tokens before `c`.
 class Tokenizer {
  public:
   Tokenizer();
@@ -39,6 +48,34 @@ class Tokenizer {
   /// encode(text).size() without materializing the id vector.
   std::size_t count_tokens(std::string_view text) const;
 
+  /// Whether `c` is a safe cut of `text` (see the class comment). Needs the
+  /// byte at `c`, so it is false at the end of the text.
+  bool is_safe_cut(std::string_view text, std::size_t c) const noexcept {
+    return c > 0 && c < text.size() && text[c - 1] == '\n' &&
+           !joins_newline_[static_cast<unsigned char>(text[c])];
+  }
+
+  /// count_tokens(text) resumed at `from`, which must be 0 or a safe cut of
+  /// `text` with `tokens_before` tokens in front of it. Calls
+  /// `on_cut(offset, tokens_before_offset)` at every later safe cut, in
+  /// order, so a caller can record resume points for texts that share a
+  /// prefix with this one.
+  template <typename OnCut>
+  std::size_t count_tokens_from(std::string_view text, std::size_t from,
+                                std::size_t tokens_before,
+                                OnCut&& on_cut) const {
+    std::size_t count = tokens_before;
+    std::size_t i = from;
+    while (i < text.size()) {
+      std::size_t length = 0;
+      match_longest(text, i, length);
+      ++count;
+      i += length;
+      if (is_safe_cut(text, i)) on_cut(i, count);
+    }
+    return count;
+  }
+
   /// Pre-trie reference implementation (per-position longest-first bucket
   /// scan). Kept in-tree so tests can cross-check the trie against it and
   /// benchmarks can report an apples-to-apples speedup ratio.
@@ -51,32 +88,24 @@ class Tokenizer {
   const std::string& token_text(std::int32_t id) const;
 
  private:
-  /// One trie node: a flat 256-way transition table plus the id of the
-  /// vocabulary entry ending here (-1 when this prefix is not a token).
-  struct TrieNode {
-    std::int32_t next[256];
-    std::int32_t token;
-  };
-
   /// Longest vocabulary match starting at `pos`; every byte is a token, so
   /// a match of length >= 1 always exists. Returns the token id; the match
   /// length is the id's token_text().size() (callers on the hot path get it
   /// via the second out-parameter instead to avoid the indirection).
   std::int32_t match_longest(std::string_view text, std::size_t pos,
                              std::size_t& length) const noexcept {
-    const unsigned char first = static_cast<unsigned char>(text[pos]);
-    std::int32_t node = nodes_[0].next[first];
-    std::int32_t best = nodes_[node].token;  // depth-1 nodes are terminal
+    const auto* bytes = reinterpret_cast<const unsigned char*>(text.data());
+    std::uint32_t node = root_[bytes[pos]];
+    std::int32_t best = token_[node];  // depth-1 nodes are terminal
     std::size_t best_length = 1;
     std::size_t depth = 1;
     const std::size_t limit = text.size() - pos;
     while (depth < limit) {
-      node = nodes_[node]
-                 .next[static_cast<unsigned char>(text[pos + depth])];
-      if (node < 0) break;
+      node = next_[node * classes_ + byte_class_[bytes[pos + depth]]];
+      if (node == 0) break;
       ++depth;
-      if (nodes_[node].token >= 0) {
-        best = nodes_[node].token;
+      if (token_[node] >= 0) {
+        best = token_[node];
         best_length = depth;
       }
     }
@@ -85,8 +114,21 @@ class Tokenizer {
   }
 
   std::vector<std::string> vocab_;
-  /// Precompiled matching trie; node 0 is the root.
-  std::vector<TrieNode> nodes_;
+  /// Precompiled matching trie. Node 0 is the root, and 0 in a transition
+  /// means "no child" (the root is nobody's child). The root's children
+  /// are indexed by byte; deeper transitions by byte class, because only a
+  /// few dozen distinct bytes ever appear after a token's first byte.
+  /// Class 0 holds every other byte and has no transitions, so each
+  /// non-root node needs one row of `classes_` 16-bit entries instead of
+  /// 256 32-bit ones.
+  std::array<std::uint16_t, 256> root_{};
+  std::array<std::uint16_t, 256> byte_class_{};
+  std::uint32_t classes_ = 1;
+  std::vector<std::uint16_t> next_;  ///< node * classes_ + class -> child
+  std::vector<std::int16_t> token_;  ///< node -> token id ending here, -1
+  /// Bytes that follow a non-final '\n' inside some vocabulary token: a
+  /// newline followed by one of them is not a safe cut.
+  std::array<bool, 256> joins_newline_{};
   /// First-byte index of the reference implementation: candidate token ids
   /// per leading byte, longest first.
   std::vector<std::vector<std::int32_t>> by_first_byte_;

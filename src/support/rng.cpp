@@ -27,12 +27,16 @@ std::uint64_t hash_mix(std::uint64_t h, std::uint64_t v) noexcept {
 }
 
 std::uint64_t fnv1a64(std::string_view bytes) noexcept {
-  std::uint64_t h = 0xcbf29ce484222325ULL;
+  return fnv1a64_extend(kFnv1a64Basis, bytes);
+}
+
+std::uint64_t fnv1a64_extend(std::uint64_t state,
+                             std::string_view bytes) noexcept {
   for (const char c : bytes) {
-    h ^= static_cast<unsigned char>(c);
-    h *= 0x100000001b3ULL;
+    state ^= static_cast<unsigned char>(c);
+    state *= 0x100000001b3ULL;
   }
-  return h;
+  return state;
 }
 
 Rng::Rng(std::uint64_t seed) noexcept {

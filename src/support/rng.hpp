@@ -87,4 +87,10 @@ std::uint64_t hash_mix(std::uint64_t h, std::uint64_t v) noexcept;
 /// within an experiment.
 std::uint64_t fnv1a64(std::string_view bytes) noexcept;
 
+/// FNV-1a resumed: fnv1a64_extend(fnv1a64(a), b) == fnv1a64(a + b), and
+/// fnv1a64(a) == fnv1a64_extend(kFnv1a64Basis, a).
+inline constexpr std::uint64_t kFnv1a64Basis = 0xcbf29ce484222325ULL;
+std::uint64_t fnv1a64_extend(std::uint64_t state,
+                             std::string_view bytes) noexcept;
+
 }  // namespace llm4vv::support
