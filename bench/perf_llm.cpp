@@ -78,28 +78,14 @@ void BM_GenerateSuite(benchmark::State& state) {
       benchmark::DoNotOptimize(completion.prompt_tokens);
     }
   }
-  // The share of prompt bytes a single-threaded model resumes past: the
-  // last safe cut inside each prompt's common prefix with the one before.
+  // The share of prompt bytes a single-threaded model resumes past: its
+  // resume offset in each prompt from the one before.
   const llm::Tokenizer& tokenizer = llm::default_tokenizer();
   std::size_t bytes = 0;
   std::size_t reused = 0;
   for (std::size_t i = 0; i < prompts.size(); ++i) {
-    const std::string& prompt = prompts[i];
-    bytes += prompt.size();
-    if (i == 0) continue;
-    const std::string& previous = prompts[i - 1];
-    std::size_t common = 0;
-    while (common < prompt.size() && common < previous.size() &&
-           prompt[common] == previous[common]) {
-      ++common;
-    }
-    std::size_t cut = common;
-    while (cut > 0 && !(tokenizer.is_safe_cut(previous, cut) &&
-                        (cut < common || cut == prompt.size() ||
-                         tokenizer.is_safe_cut(prompt, cut)))) {
-      --cut;
-    }
-    reused += cut;
+    bytes += prompts[i].size();
+    if (i > 0) reused += tokenizer.resume_offset(prompts[i], prompts[i - 1]);
   }
   state.SetItemsProcessed(
       static_cast<std::int64_t>(state.iterations() * prompts.size()));

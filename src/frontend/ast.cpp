@@ -1,6 +1,6 @@
 #include "frontend/ast.hpp"
 
-#include <new>
+#include <memory>
 
 namespace llm4vv::frontend {
 
@@ -40,16 +40,8 @@ std::string type_to_string(const Type& type) {
   return out;
 }
 
-namespace {
-
-ExprPtr new_expr(AstArena* arena) {
-  return arena != nullptr ? arena->make<Expr>() : ExprPtr(new Expr);
-}
-
-}  // namespace
-
-ExprPtr make_int_literal(long value, int line, int column, AstArena* arena) {
-  ExprPtr e = new_expr(arena);
+ExprPtr make_int_literal(AstArena& arena, long value, int line, int column) {
+  ExprPtr e = arena.make<Expr>();
   e->kind = ExprKind::kIntLit;
   e->int_value = value;
   e->line = line;
@@ -57,9 +49,9 @@ ExprPtr make_int_literal(long value, int line, int column, AstArena* arena) {
   return e;
 }
 
-ExprPtr make_ident(std::string name, int line, int column,
-                   AstArena* arena) {
-  ExprPtr e = new_expr(arena);
+ExprPtr make_ident(AstArena& arena, std::string name, int line,
+                   int column) {
+  ExprPtr e = arena.make<Expr>();
   e->kind = ExprKind::kIdent;
   e->text = std::move(name);
   e->line = line;

@@ -12,21 +12,12 @@ namespace llm4vv::frontend {
 // Node memory
 // --------------------------------------------------------------------------
 
-/// Deleter of ExprPtr/StmtPtr: an arena node only runs its destructor (its
-/// arena owns the memory), a heap node is deleted. Converts from
-/// std::default_delete, so `ExprPtr e = std::make_unique<Expr>();` works.
+/// Deleter of ExprPtr/StmtPtr. Every node lives in an AstArena, which owns
+/// its memory, so releasing a node only runs its destructor.
 struct AstNodeDelete {
-  AstNodeDelete() noexcept = default;
-  template <typename T>
-  AstNodeDelete(const std::default_delete<T>&) noexcept {}  // NOLINT
-
   template <typename Node>
   void operator()(Node* node) const noexcept {
-    if (node->in_arena) {
-      node->~Node();
-    } else {
-      delete node;
-    }
+    std::destroy_at(node);
   }
 };
 
@@ -60,8 +51,8 @@ class AstArena {
   std::pmr::monotonic_buffer_resource resource_;
 };
 
-/// A list inside the AST: in its Program's arena for parsed nodes, on the
-/// heap (the default resource) for nodes built by hand.
+/// A list inside the AST: in the arena of the node or Program holding it
+/// (the default resource for the lists of a Program without an arena).
 template <typename T>
 using AstVector = std::pmr::vector<T>;
 
@@ -115,16 +106,13 @@ using ExprPtr = std::unique_ptr<Expr, AstNodeDelete>;
 /// One expression node. A single struct with a kind tag keeps lowering and
 /// printing simple; unused fields stay empty.
 struct Expr {
-  Expr() = default;
-  /// An arena node: its argument list allocates from `memory` too (see
-  /// AstArena::make).
-  explicit Expr(std::pmr::memory_resource* memory) noexcept
-      : in_arena(true), args(memory) {}
+  /// Built by AstArena::make: the argument list allocates from the node's
+  /// arena too.
+  explicit Expr(std::pmr::memory_resource* memory) noexcept : args(memory) {}
 
   ExprKind kind = ExprKind::kIntLit;
   int line = 0;
   int column = 0;
-  bool in_arena = false;      ///< memory owned by an AstArena
 
   long int_value = 0;         ///< kIntLit / kCharLit
   double float_value = 0.0;   ///< kFloatLit
@@ -177,15 +165,13 @@ struct Declarator {
 
 /// One statement node (kind-tagged like Expr).
 struct Stmt {
-  Stmt() = default;
-  /// An arena node: its lists allocate from `memory` too.
+  /// Built by AstArena::make: the lists allocate from the node's arena too.
   explicit Stmt(std::pmr::memory_resource* memory) noexcept
-      : in_arena(true), decls(memory), body(memory) {}
+      : decls(memory), body(memory) {}
 
   StmtKind kind = StmtKind::kEmpty;
   int line = 0;
   int column = 0;
-  bool in_arena = false;           ///< memory owned by an AstArena
 
   AstVector<Declarator> decls;     ///< kDecl
   ExprPtr expr;                    ///< kExpr / kReturn value / condition
@@ -262,11 +248,11 @@ struct Program {
   AstVector<const Stmt*> pragmas;
 };
 
-/// Construct helpers used by the parser and by tests building ASTs by hand;
-/// the node comes from `arena` when one is given, else from the heap.
-ExprPtr make_int_literal(long value, int line = 0, int column = 0,
-                         AstArena* arena = nullptr);
-ExprPtr make_ident(std::string name, int line = 0, int column = 0,
-                   AstArena* arena = nullptr);
+/// Construct helpers used by the parsers and by code building ASTs by hand;
+/// the node comes from `arena`.
+ExprPtr make_int_literal(AstArena& arena, long value, int line = 0,
+                         int column = 0);
+ExprPtr make_ident(AstArena& arena, std::string name, int line = 0,
+                   int column = 0);
 
 }  // namespace llm4vv::frontend

@@ -241,7 +241,7 @@ class FortranParser {
     // Implicit `return errs`-less fallthrough: return 0.
     auto ret = arena_->make<Stmt>();
     ret->kind = StmtKind::kReturn;
-    ret->expr = make_int_literal(0, 0, 0, arena_);
+    ret->expr = make_int_literal(*arena_, 0, 0, 0);
     body->body.push_back(std::move(ret));
 
     main_fn.body = std::move(body);
@@ -372,7 +372,7 @@ class FortranParser {
       auto stmt = arena_->make<Stmt>();
       stmt->kind = StmtKind::kReturn;
       stmt->line = lineno;
-      stmt->expr = make_int_literal(code, lineno, 0, arena_);
+      stmt->expr = make_int_literal(*arena_, code, lineno, 0);
       return stmt;
     }
     if (kw == "return") {
@@ -380,7 +380,7 @@ class FortranParser {
       auto stmt = arena_->make<Stmt>();
       stmt->kind = StmtKind::kReturn;
       stmt->line = lineno;
-      stmt->expr = make_int_literal(0, lineno, 0, arena_);
+      stmt->expr = make_int_literal(*arena_, 0, lineno, 0);
       return stmt;
     }
     if (kw == "exit") {  // loop exit
@@ -464,7 +464,7 @@ class FortranParser {
           plus1->text = "+";
           plus1->line = lineno;
           plus1->lhs = std::move(extent);
-          plus1->rhs = make_int_literal(1, lineno, 0, arena_);
+          plus1->rhs = make_int_literal(*arena_, 1, lineno, 0);
           decl.array_extent = std::move(plus1);
           array_names_.insert(decl.name);
         }
@@ -511,7 +511,7 @@ class FortranParser {
     assign->kind = ExprKind::kAssign;
     assign->text = "=";
     assign->line = lineno;
-    assign->lhs = make_ident(var, lineno, 0, arena_);
+    assign->lhs = make_ident(*arena_, var, lineno, 0);
     assign->rhs = std::move(lo);
     init->expr = std::move(assign);
     stmt->init_stmt = std::move(init);
@@ -520,7 +520,7 @@ class FortranParser {
     cond->kind = ExprKind::kBinary;
     cond->text = "<=";
     cond->line = lineno;
-    cond->lhs = make_ident(var, lineno, 0, arena_);
+    cond->lhs = make_ident(*arena_, var, lineno, 0);
     cond->rhs = std::move(hi);
     stmt->expr = std::move(cond);
 
@@ -528,7 +528,7 @@ class FortranParser {
     step->kind = ExprKind::kPostfix;
     step->text = "++";
     step->line = lineno;
-    step->lhs = make_ident(var, lineno, 0, arena_);
+    step->lhs = make_ident(*arena_, var, lineno, 0);
     stmt->step_expr = std::move(step);
 
     auto body = arena_->make<Stmt>();
@@ -608,7 +608,7 @@ class FortranParser {
         auto s = arena_->make<Stmt>();
         s->kind = StmtKind::kReturn;
         s->line = lineno;
-        s->expr = make_int_literal(code, lineno, 0, arena_);
+        s->expr = make_int_literal(*arena_, code, lineno, 0);
         return s;
       }
       return parse_assignment_stmt(lineno);
@@ -675,7 +675,7 @@ class FortranParser {
       plus1->text = "+";
       plus1->line = lineno;
       plus1->lhs = std::move(extent);
-      plus1->rhs = make_int_literal(1, lineno, 0, arena_);
+      plus1->rhs = make_int_literal(*arena_, 1, lineno, 0);
       auto call = arena_->make<Expr>();
       call->kind = ExprKind::kCall;
       call->text = "malloc";
@@ -685,7 +685,7 @@ class FortranParser {
       assign->kind = ExprKind::kAssign;
       assign->text = "=";
       assign->line = lineno;
-      assign->lhs = make_ident(name, lineno, 0, arena_);
+      assign->lhs = make_ident(*arena_, name, lineno, 0);
       assign->rhs = std::move(call);
       stmt->expr = std::move(assign);
     } else {
@@ -694,7 +694,7 @@ class FortranParser {
       call->kind = ExprKind::kCall;
       call->text = "free";
       call->line = lineno;
-      call->args.push_back(make_ident(name, lineno, 0, arena_));
+      call->args.push_back(make_ident(*arena_, name, lineno, 0));
       stmt->expr = std::move(call);
     }
     ++cursor_;
@@ -926,7 +926,7 @@ class FortranParser {
     const FTok& tok = peek();
     if (tok.kind == FTok::kInt) {
       advance();
-      return make_int_literal(tok.int_value, lineno, 0, arena_);
+      return make_int_literal(*arena_, tok.int_value, lineno, 0);
     }
     if (tok.kind == FTok::kFloat) {
       advance();
@@ -959,7 +959,7 @@ class FortranParser {
           auto e = arena_->make<Expr>();
           e->kind = ExprKind::kIndex;
           e->line = lineno;
-          e->lhs = make_ident(name, lineno, 0, arena_);
+          e->lhs = make_ident(*arena_, name, lineno, 0);
           e->rhs = std::move(idx);
           return e;
         }
@@ -1000,12 +1000,12 @@ class FortranParser {
         }
         return call;
       }
-      return make_ident(name, lineno, 0, arena_);
+      return make_ident(*arena_, name, lineno, 0);
     }
     diags_.error(DiagCode::kUnexpectedToken, lineno, 1,
                  "expected an expression");
     advance();
-    return make_int_literal(0, lineno, 0, arena_);
+    return make_int_literal(*arena_, 0, lineno, 0);
   }
 
   ExprPtr make_binary(const char* op, ExprPtr lhs, ExprPtr rhs) {

@@ -649,7 +649,7 @@ class Parser {
       }
       case TokenKind::kIdentifier: {
         advance();
-        return make_ident(tok.text, tok.line, tok.column, arena_);
+        return make_ident(*arena_, tok.text, tok.line, tok.column);
       }
       case TokenKind::kKeyword: {
         if (tok.is(Keyword::kSizeof)) {
@@ -669,8 +669,8 @@ class Parser {
         }
         if (tok.is(Keyword::kTrue) || tok.is(Keyword::kFalse)) {
           advance();
-          return make_int_literal(tok.is(Keyword::kTrue) ? 1 : 0, tok.line,
-                                  tok.column, arena_);
+          return make_int_literal(*arena_, tok.is(Keyword::kTrue) ? 1 : 0,
+                                  tok.line, tok.column);
         }
         error_here("unexpected keyword '" + tok.text + "' in expression");
         throw ParseError{};

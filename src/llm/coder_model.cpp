@@ -1,7 +1,6 @@
 #include "llm/coder_model.hpp"
 
 #include <algorithm>
-#include <cstring>
 #include <string_view>
 
 #include "llm/tokenizer.hpp"
@@ -113,19 +112,6 @@ std::string render_analysis(const PromptPerception& view, bool invalid,
   return out;
 }
 
-/// Length of the longest common prefix of `a` and `b`.
-std::size_t common_prefix(std::string_view a, std::string_view b) {
-  const std::size_t n = std::min(a.size(), b.size());
-  constexpr std::size_t kStride = 32;
-  std::size_t i = 0;
-  while (i + kStride <= n &&
-         std::memcmp(a.data() + i, b.data() + i, kStride) == 0) {
-    i += kStride;
-  }
-  while (i < n && a[i] == b[i]) ++i;
-  return i;
-}
-
 }  // namespace
 
 SimulatedCoderModel::SimulatedCoderModel(CoderModelConfig config)
@@ -177,24 +163,17 @@ SimulatedCoderModel::PromptStats SimulatedCoderModel::prompt_stats(
 
   const Tokenizer& tokenizer = default_tokenizer();
   const std::string_view text(prompt);
-  const std::size_t common = common_prefix(text, ref->prompt);
-  if (common != text.size() || common != ref->prompt.size()) {
-    // Keep the checkpoints inside the common prefix. One exactly at its
-    // end is shared only if the new prompt's byte there keeps it a cut
-    // (the start of the text and the end of the prompt always are).
+  if (prompt != ref->prompt) {
+    // The reference's checkpoints are its start and its safe cuts, so the
+    // last one kept is the resume offset.
     auto& checkpoints = ref->checkpoints;
     checkpoints.erase(
-        std::upper_bound(checkpoints.begin(), checkpoints.end(), common,
+        std::upper_bound(checkpoints.begin(), checkpoints.end(),
+                         tokenizer.resume_offset(text, ref->prompt),
                          [](std::size_t offset, const Checkpoint& cp) {
                            return offset < cp.offset;
                          }),
         checkpoints.end());
-    const std::size_t last = checkpoints.back().offset;
-    if (last == common && last != 0 && last != text.size() &&
-        !tokenizer.is_safe_cut(text, last)) {
-      checkpoints.pop_back();
-    }
-
     const Checkpoint resume = checkpoints.back();
     std::uint64_t hash = resume.hash;
     std::size_t hashed = resume.offset;

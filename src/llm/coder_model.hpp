@@ -61,7 +61,7 @@ struct CoderModelConfig {
 /// seeds give fresh draws for error bars.
 ///
 /// Prompt prefixes. Every prompt starts with the same criteria and protocol
-/// scaffold, so the model keeps a few recently counted prompts with their
+/// scaffold, so the model keeps two recently counted prompts with their
 /// safe cuts (see Tokenizer): at each, the token count and the FNV-1a state
 /// so far. A new prompt is compared byte by byte with one of them and
 /// counted and hashed only from the last cut inside the common prefix; it
@@ -113,9 +113,13 @@ class SimulatedCoderModel final : public LanguageModel {
     std::vector<Checkpoint> checkpoints{{0, 0, support::kFnv1a64Basis}};
     PromptStats stats{0, support::kFnv1a64Basis};
   };
-  /// References kept between calls; a render that finds none free counts
+  /// References kept between calls; a call that finds none free counts
   /// from scratch into a new one, and the surplus is dropped on return.
-  static constexpr std::size_t kMaxReferences = 4;
+  /// Two serve the two concurrent callers of the default serve::Server and
+  /// of the benchmarked pipelines (two judge workers). Measured resumed
+  /// shares of prompt bytes: suite_cold 0.52, suite_rerun 0.62, serve_open
+  /// 0.53 with two or four references; one drops suite_cold to 0.46.
+  static constexpr std::size_t kMaxReferences = 2;
 
   /// Token count and hash of `prompt`, resumed from a reference's prefix.
   /// The reference is taken out of the pool for the call, so no lock is

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <cstring>
 #include <stdexcept>
 
 namespace llm4vv::llm {
@@ -158,6 +159,30 @@ std::string Tokenizer::decode(const std::vector<std::int32_t>& ids) const {
 
 std::size_t Tokenizer::count_tokens(std::string_view text) const {
   return count_tokens_from(text, 0, 0, [](std::size_t, std::size_t) {});
+}
+
+std::size_t Tokenizer::resume_offset(std::string_view text,
+                                     std::string_view counted) const noexcept {
+  const std::size_t n = std::min(text.size(), counted.size());
+  constexpr std::size_t kStride = 32;
+  std::size_t common = 0;
+  while (common + kStride <= n &&
+         std::memcmp(text.data() + common, counted.data() + common,
+                     kStride) == 0) {
+    common += kStride;
+  }
+  while (common < n && text[common] == counted[common]) ++common;
+
+  // A cut exactly at the end of the common prefix also needs the next byte
+  // of `text` to keep it one.
+  if (is_safe_cut(counted, common) &&
+      (common == text.size() || is_safe_cut(text, common))) {
+    return common;
+  }
+  for (std::size_t c = common; c-- > 1;) {
+    if (is_safe_cut(counted, c)) return c;
+  }
+  return 0;
 }
 
 std::vector<std::int32_t> Tokenizer::encode_reference(

@@ -55,6 +55,14 @@ class Tokenizer {
            !joins_newline_[static_cast<unsigned char>(text[c])];
   }
 
+  /// The furthest offset a count of `text` can resume from a count of
+  /// `counted`: the last safe cut of `counted` inside the two texts' common
+  /// prefix at which `text` also has a token boundary (its end, or a safe
+  /// cut of its own), else 0. Every safe cut of `counted` before that
+  /// prefix's last byte is one of `text` too.
+  std::size_t resume_offset(std::string_view text,
+                            std::string_view counted) const noexcept;
+
   /// count_tokens(text) resumed at `from`, which must be 0 or a safe cut of
   /// `text` with `tokens_before` tokens in front of it. Calls
   /// `on_cut(offset, tokens_before_offset)` at every later safe cut, in

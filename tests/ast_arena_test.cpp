@@ -1,12 +1,12 @@
 // Lifetime of arena-backed ASTs: a parsed Program owns an AstArena that
 // holds its nodes and lists. Moving the Program (construction, assignment
 // over a Program with nodes of its own, a container growing) must keep
-// every node valid, and nodes built by hand on the heap must still work,
-// also next to arena nodes. Runs under ASan+UBSan in the sanitizer leg.
+// every node valid, and nodes built by hand in an arena of their own or in a
+// parsed Program's arena must work too. Runs under ASan+UBSan in the
+// sanitizer leg.
 #include <gtest/gtest.h>
 
 #include <cstdint>
-#include <memory_resource>
 #include <string>
 #include <utility>
 #include <vector>
@@ -109,9 +109,9 @@ TEST(AstArenaTest, ParsedNodesLiveInTheProgramsArena) {
   const Program program = analyzed(kSource);
   ASSERT_NE(program.arena, nullptr);
   const Stmt* body = program.functions.at(1).body.get();
-  EXPECT_TRUE(body->in_arena);
-  EXPECT_TRUE(body->body.front()->in_arena);
   EXPECT_EQ(body->body.get_allocator().resource(), program.arena->resource());
+  EXPECT_EQ(body->body.front()->decls.get_allocator().resource(),
+            program.arena->resource());
   EXPECT_EQ(program.symbols.get_allocator().resource(),
             program.arena->resource());
   EXPECT_GT(walk(program).nodes, 40u);
@@ -176,37 +176,34 @@ TEST(AstArenaTest, FortranProgramMovesLikeC) {
   Program moved;
   moved = std::move(program);
   EXPECT_EQ(walk(moved).sum, before.sum);
-  EXPECT_TRUE(moved.functions.at(0).body->in_arena);
+  EXPECT_EQ(moved.functions.at(0).body->body.get_allocator().resource(),
+            moved.arena->resource());
 }
 
-TEST(AstArenaTest, NodesBuiltOutsideAParserUseTheHeap) {
-  ExprPtr ident = make_ident("x", 3, 4);
-  EXPECT_FALSE(ident->in_arena);
-  ExprPtr call = std::make_unique<Expr>();  // default_delete converts
+TEST(AstArenaTest, NodesBuiltOutsideAParserUseAnArena) {
+  // A stand-alone arena, declared before the nodes so it outlives them.
+  AstArena arena;
+  ExprPtr call = arena.make<Expr>();
   call->kind = ExprKind::kCall;
   call->text = "compute";
-  call->args.push_back(std::move(ident));
-  call->args.push_back(make_int_literal(42));
-  EXPECT_EQ(call->args.get_allocator().resource(),
-            std::pmr::get_default_resource());
+  call->args.push_back(make_ident(arena, "x", 3, 4));
+  call->args.push_back(make_int_literal(arena, 42));
+  EXPECT_EQ(call->args.get_allocator().resource(), arena.resource());
+  EXPECT_EQ(call->args[0]->text, "x");
+  EXPECT_EQ(call->args[0]->column, 4);
+  EXPECT_EQ(call->args[1]->int_value, 42);
 
-  // Heap nodes inside arena lists and arena nodes inside heap lists: each
-  // node is released the way it was made.
+  // Hand-built nodes grafted into a parsed Program come from its arena and
+  // go with it.
   Program program = analyzed(kSource);
-  AstArena* arena = program.arena.get();
-  StmtPtr stmt = arena->make<Stmt>();
+  const std::size_t parsed = walk(program).nodes;
+  StmtPtr stmt = program.arena->make<Stmt>();
   stmt->kind = StmtKind::kExpr;
-  stmt->expr = std::move(call);
+  stmt->expr = make_ident(*program.arena, "y");
   program.functions.at(1).body->body.push_back(std::move(stmt));
-  auto heap_block = std::make_unique<Stmt>();
-  heap_block->kind = StmtKind::kCompound;
-  heap_block->body.push_back(arena->make<Stmt>());
-  heap_block->body.back()->expr = make_ident("y", 0, 0, arena);
-  StmtPtr owned = std::move(heap_block);
-  EXPECT_FALSE(owned->in_arena);
-  EXPECT_TRUE(owned->body.front()->in_arena);
-  owned.reset();  // before the arena goes with `program`
-  EXPECT_GT(walk(program).nodes, 40u);
+  Program moved(std::move(program));
+  EXPECT_EQ(walk(moved).nodes, parsed + 2);
+  EXPECT_EQ(moved.functions.at(1).body->body.back()->expr->text, "y");
 }
 
 }  // namespace

@@ -183,6 +183,21 @@ TEST(PromptPrefixTest, NewlineFollowedByAJoiningByteIsNotACut) {
   EXPECT_EQ(default_tokenizer().count_tokens("a\n  b"), 3u);  // a, \n  , b
 }
 
+TEST(PromptPrefixTest, ResumeOffsetIsTheLastSharedCut) {
+  const Tokenizer& tokenizer = default_tokenizer();
+  // Common prefix "int x\na": the cut after the newline is shared.
+  EXPECT_EQ(tokenizer.resume_offset("int x\nab\n", "int x\nac\n"), 6u);
+  // The prefix ends at the newline; "  " joins it in the counted text.
+  EXPECT_EQ(tokenizer.resume_offset("int x\nxy", "int x\n  y"), 0u);
+  // ... and in the new text, so the counted text's cut is not shared.
+  EXPECT_EQ(tokenizer.resume_offset("int x\n  y", "int x\nxy"), 0u);
+  // A strict prefix ending at a cut of the counted text resumes at its end.
+  EXPECT_EQ(tokenizer.resume_offset("a\nb\n", "a\nb\nc"), 4u);
+  EXPECT_EQ(tokenizer.resume_offset("a\nb\nc", "a\nb\nc"), 4u);
+  EXPECT_EQ(tokenizer.resume_offset("", "a\nb"), 0u);
+  EXPECT_EQ(tokenizer.resume_offset("x\nb", "a\nb"), 0u);
+}
+
 TEST(PromptPrefixTest, EveryPrefixOfAPromptInBothDirections) {
   // Each step extends (then shortens) the previous prompt by one byte, so
   // the common prefix ends on every byte of a real prompt once: at, after
