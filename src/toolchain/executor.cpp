@@ -30,7 +30,7 @@ ExecutionRecord Executor::run(
   ExecutionRecord record;
   if (module == nullptr) return record;
   const vm::ExecResult result =
-      vm::execute(*module, config_.limits, config_.dispatch, config_.fuse);
+      vm::execute(*module, config_.limits, config_.dispatch, /*fuse=*/true);
   record.ran = true;
   record.return_code = result.return_code;
   record.stdout_text = result.stdout_text;

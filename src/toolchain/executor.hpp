@@ -20,9 +20,9 @@ struct ExecutionRecord {
   vm::TrapKind trap = vm::TrapKind::kNone;
   std::uint64_t steps = 0;
   /// Superinstruction sites the VM's decode-time fusion pass rewrote for
-  /// this run (0 when fusion is off or the reference core ran) and the
-  /// distinct patterns among them — see docs/ARCHITECTURE.md. A memoized
-  /// record reports 0 for both: no decode ran for it.
+  /// this run (0 when the reference core ran) and the distinct patterns
+  /// among them — see docs/ARCHITECTURE.md. A memoized record reports 0
+  /// for both: no decode ran for it.
   std::uint64_t fused_instructions = 0;
   std::uint32_t fusion_patterns = 0;
   /// True when the executor served this record from the run memo on the
@@ -34,12 +34,11 @@ struct ExecutionRecord {
 };
 
 /// Everything about an Executor that can change a run's record: the
-/// budgets, the dispatch core and fusion. The run memo is keyed on it, so
+/// budgets and the dispatch core. The run memo is keyed on it, so
 /// executors of different configurations never serve each other.
 struct ExecConfig {
   vm::ExecLimits limits;
   vm::DispatchMode dispatch = vm::DispatchMode::kReference;
-  bool fuse = false;
 
   bool operator==(const ExecConfig&) const = default;
 };
@@ -84,14 +83,12 @@ class ExecMemo {
 /// Runs compiled modules under the VM with execution budgets.
 class Executor {
  public:
-  /// `dispatch` selects the VM dispatch core (all cores are semantically
-  /// identical; the default is the fastest one this build provides), and
-  /// `fuse` whether its pre-decoder fuses superinstructions (ignored by the
-  /// reference core; the default follows the build's LLM4VV_VM_FUSION).
+  /// `dispatch` selects the VM dispatch core: the production table core,
+  /// whose decode always fuses superinstructions, or the reference oracle
+  /// (both are semantically identical).
   explicit Executor(vm::ExecLimits limits = {},
-                    vm::DispatchMode dispatch = vm::default_dispatch_mode(),
-                    bool fuse = vm::default_fusion_enabled())
-      : config_{limits, dispatch, fuse} {}
+                    vm::DispatchMode dispatch = vm::DispatchMode::kTable)
+      : config_{limits, dispatch} {}
 
   /// Execute a compiled module; a null module yields ran=false. Always
   /// runs the VM — the pure primitive the oracles and VM tests call.
@@ -105,9 +102,6 @@ class Executor {
 
   /// The dispatch core this executor runs modules with.
   vm::DispatchMode dispatch_mode() const noexcept { return config_.dispatch; }
-
-  /// Whether this executor's VM decode pass fuses superinstructions.
-  bool fusion_enabled() const noexcept { return config_.fuse; }
 
  private:
   ExecConfig config_;

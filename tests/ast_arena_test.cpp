@@ -8,6 +8,7 @@
 
 #include <cstdint>
 #include <string>
+#include <string_view>
 #include <utility>
 #include <vector>
 
@@ -48,7 +49,7 @@ struct Walk {
   std::size_t nodes = 0;
   std::uint64_t sum = 0;
 
-  void text(const std::string& s) {
+  void text(std::string_view s) {
     for (const char c : s) sum = sum * 31 + static_cast<unsigned char>(c);
   }
   void expr(const Expr* e) {

@@ -85,7 +85,7 @@ TEST(ExecMemoTest, SecondRunOfACachedResultIsAMemoHit) {
   ASSERT_NE(first.exec_memo, nullptr);
   EXPECT_EQ(first.exec_memo, second.exec_memo);
 
-  const Executor executor(vm::ExecLimits{}, vm::DispatchMode::kTable, true);
+  const Executor executor(vm::ExecLimits{}, vm::DispatchMode::kTable);
   const auto real = executor.run(first);
   const auto hit = executor.run(second);
   EXPECT_FALSE(real.cached);
@@ -128,10 +128,9 @@ TEST(ExecMemoTest, ExecutorConfigurationsNeverCrossServe) {
   vm::ExecLimits tight;
   tight.max_steps = 50;
   const std::vector<Executor> executors = {
-      Executor(vm::ExecLimits{}, vm::DispatchMode::kReference, false),
-      Executor(vm::ExecLimits{}, vm::DispatchMode::kTable, false),
-      Executor(vm::ExecLimits{}, vm::DispatchMode::kTable, true),
-      Executor(tight, vm::DispatchMode::kTable, true),
+      Executor(vm::ExecLimits{}, vm::DispatchMode::kReference),
+      Executor(vm::ExecLimits{}, vm::DispatchMode::kTable),
+      Executor(tight, vm::DispatchMode::kTable),
   };
   // Each configuration's first run is real, whatever ran before it.
   for (const auto& executor : executors) {
