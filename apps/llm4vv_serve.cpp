@@ -9,9 +9,9 @@
 // SIGTERM / SIGINT / a client "shutdown" op starts a graceful drain: stop
 // accepting, finish every accepted job, flush, export telemetry, exit 0.
 //
-//   llm4vv-serve --port 7733 --workers 2 \
-//       --tenants "gold:0:8:0:3,free:50:8:4:1" \
-//       --metrics-dump --trace-out serve_trace.json
+//   llm4vv-serve --port 7733 --workers 2
+//       --tenants "gold:0:8:0:3,free:50:8:4:1"
+//       --metrics-dump --trace-out serve_trace.json      (one command line)
 //
 //   --host <a> --port <p>    bind address (default 127.0.0.1:0 = ephemeral)
 //   --port-file <path>       write the bound port (CI discovers ephemeral
@@ -33,8 +33,9 @@
 // (jobs_per_s, p50/p90/p99 latency, per-tenant completion spread) that CI
 // gates with jq.
 //
-//   llm4vv-serve --load-gen --port-file /tmp/port \
+//   llm4vv-serve --load-gen --port-file /tmp/port
 //       --gen-tenants "gold,free" --clients 2 --jobs 8 --shutdown
+//                                                         (one command line)
 //
 //   --gen-mode closed|open   closed: submit, wait, repeat (default);
 //                            open: paced sender + concurrent reader

@@ -101,7 +101,8 @@ BENCHMARK(BM_CompileOMP)->Unit(benchmark::kMillisecond);
 
 void BM_FrontendPass(benchmark::State& state) {
   // Lex, parse and sema alone: the part of a compile that the judge's
-  // perception repeats, with its allocations per file.
+  // perception repeats when it misses the code facts the compile stage
+  // published, with its allocations per file.
   const auto files = sample_files(frontend::Flavor::kOpenACC);
   directive::DirectiveTable directives;
   const frontend::ParserOptions popts = directive::parser_options(directives);

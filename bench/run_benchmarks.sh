@@ -29,9 +29,10 @@
 #                                 validation (5-repetition medians)
 #   bench/BENCH_llm.json        - simulated generation over the suite's
 #                                 prompts and over one repeated prompt, the
-#                                 judge's perception pass alone, prompt-size
-#                                 scaling and client concurrency
-#                                 (5-repetition medians)
+#                                 judge's perception pass alone (running the
+#                                 front-end, and reading published code
+#                                 facts), prompt-size scaling and client
+#                                 concurrency (5-repetition medians)
 #
 # Usage: bench/run_benchmarks.sh [build-dir]
 #   BENCH_MIN_TIME=0.01s bench/run_benchmarks.sh   # quick smoke run
@@ -140,7 +141,8 @@ if command -v jq >/dev/null 2>&1; then
     .benchmarks[]
     | select(.aggregate_name == "median")
     | select(.run_name == "BM_Perceive" or .run_name == "BM_SimulatedJudgeCall"
-             or .run_name == "BM_GenerateSuite")
+             or .run_name == "BM_GenerateSuite"
+             or .run_name == "BM_PerceivePublished")
     | "\(.run_name) median: " +
       "\(1e6 / .items_per_second * 10 | floor / 10) us per prompt" +
       (if .prompt_bytes_reused_share then

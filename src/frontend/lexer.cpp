@@ -91,6 +91,8 @@ class Cursor {
     while (pos_ + n < src_.size() && ident_char(src_[pos_ + n])) ++n;
     return n;
   }
+  /// The source from the cursor on.
+  std::string_view rest() const { return src_.substr(pos_); }
   /// Characters before the next newline (or the end of the source).
   std::string_view rest_of_line() const {
     const std::size_t nl = src_.find('\n', pos_);
@@ -108,11 +110,12 @@ class Cursor {
 };
 
 /// Reads to end of line, folding `\`-continuations; cursor ends after the
-/// newline. Returns the collected text without the trailing newline.
-std::string read_logical_line(Cursor& cur) {
+/// newline. Returns the collected text without the trailing newline: a view
+/// of the source when nothing was folded, else a copy in `arena`.
+std::string_view read_logical_line(Cursor& cur, SpellingArena& arena) {
   const std::string_view line = cur.rest_of_line();
   if (line.find_first_of("\\\r") == std::string_view::npos) {
-    std::string text(cur.take(line.size()));
+    const std::string_view text = cur.take(line.size());
     cur.match('\n');
     return text;
   }
@@ -137,7 +140,54 @@ std::string read_logical_line(Cursor& cur) {
     }
     text.push_back(cur.advance());
   }
-  return text;
+  return arena.store(text);
+}
+
+/// The character an escape `\e` in a literal stands for. Character
+/// literals do not resolve `\r`.
+char unescape(char e, bool string_literal) {
+  switch (e) {
+    case 'n': return '\n';
+    case 't': return '\t';
+    case 'r': return string_literal ? '\r' : 'r';
+    case '0': return '\0';
+    default: return e;
+  }
+}
+
+/// The body of the string (`quote` is '"') or character literal whose
+/// opening quote the cursor has just passed, with escapes resolved; a view
+/// of the source when it has none, else a copy in `arena`. The cursor ends
+/// after the closing quote, after the newline that ends an unterminated
+/// literal, or at the end of the source; `closed` says which.
+std::string_view read_literal(Cursor& cur, char quote, SpellingArena& arena,
+                              bool& closed) {
+  const std::string_view rest = cur.rest();
+  std::size_t end = 0;
+  bool escaped = false;
+  while (end < rest.size() && rest[end] != quote && rest[end] != '\n') {
+    if (rest[end] == '\\' && end + 1 < rest.size()) {
+      escaped = true;
+      ++end;
+    }
+    ++end;
+  }
+  closed = end < rest.size() && rest[end] == quote;
+  const std::string_view body = rest.substr(0, end);
+  for (std::size_t i = std::min(end + 1, rest.size()); i > 0; --i) {
+    cur.advance();
+  }
+  if (!escaped) return body;
+  char* text = arena.reserve(body.size());
+  std::size_t n = 0;
+  for (std::size_t i = 0; i < body.size(); ++i) {
+    char c = body[i];
+    if (c == '\\' && i + 1 < body.size()) {
+      c = unescape(body[++i], quote == '"');
+    }
+    text[n++] = c;
+  }
+  return arena.keep(n);
 }
 
 /// The next whitespace-delimited word of `text` at or after `pos` (empty
@@ -149,31 +199,30 @@ std::string_view next_word(std::string_view text, std::size_t& pos) {
   return text.substr(start, pos - start);
 }
 
-}  // namespace
+using Defines = decltype(LexOutput::defines);
 
-bool is_keyword(std::string_view word) noexcept {
-  return keyword_of(word) != Keyword::kNone;
-}
-
-LexOutput lex(std::string_view source, DiagnosticEngine& diags) {
-  LexOutput out;
+/// lex() into `tokens` and `defines`, keeping the text the tokens view
+/// besides `source` in `arena`.
+void lex_into(std::string_view source, DiagnosticEngine& diags,
+              std::vector<Token>& tokens, Defines& defines,
+              SpellingArena& arena) {
   // V&V files average a little over 4 source bytes per token.
-  out.tokens.reserve(source.size() / 4 + 1);
+  tokens.reserve(source.size() / 4 + 1);
   Cursor cur(source);
   // Each macro's replacement, lexed on its first use after its definition
-  // and keyed by the name as stored in `out.defines`.
+  // and keyed by the name as stored in `defines`.
   std::map<std::string_view, std::vector<Token>> expansions;
   // Stray-character reporting is capped so pathological inputs (binary
   // garbage, heavily mutated files) cannot flood the diagnostic engine.
   int stray_reports = 0;
   constexpr int kMaxStrayReports = 20;
 
-  // Tokens are built in place: no temporary Token or string to move.
-  const auto push = [&](TokenKind kind, auto&& text, int line,
+  // Tokens are built in place: no temporary Token to move.
+  const auto push = [&](TokenKind kind, std::string_view text, int line,
                         int col) -> Token& {
-    Token& tok = out.tokens.emplace_back();
+    Token& tok = tokens.emplace_back();
     tok.kind = kind;
-    tok.text = std::forward<decltype(text)>(text);
+    tok.text = text;
     tok.line = line;
     tok.column = col;
     return tok;
@@ -217,7 +266,7 @@ LexOutput lex(std::string_view source, DiagnosticEngine& diags) {
 
     // Preprocessor-ish lines. The text always starts with '#'.
     if (c == '#') {
-      const std::string text = read_logical_line(cur);
+      const std::string_view text = read_logical_line(cur, arena);
       std::size_t at = 0;
       const std::string_view first = next_word(text, at);
       if (support::starts_with(text, "#pragma") ||
@@ -236,9 +285,9 @@ LexOutput lex(std::string_view source, DiagnosticEngine& diags) {
           value += word;
         }
         if (!value.empty()) {
-          const auto macro = out.defines.find(name);
-          if (macro == out.defines.end()) {
-            out.defines.emplace(name, std::move(value));
+          const auto macro = defines.find(name);
+          if (macro == defines.end()) {
+            defines.emplace(name, std::move(value));
           } else {
             macro->second = std::move(value);
             expansions.erase(macro->first);
@@ -254,20 +303,23 @@ LexOutput lex(std::string_view source, DiagnosticEngine& diags) {
     if (ident_start(c)) {
       const std::string_view word = cur.take(cur.identifier_length());
       const auto macro =
-          out.defines.empty() ? out.defines.end() : out.defines.find(word);
-      if (macro != out.defines.end()) {
+          defines.empty() ? defines.end() : defines.find(word);
+      if (macro != defines.end()) {
         // One-level substitution: the replacement is lexed in isolation,
-        // its diagnostics discarded.
+        // its diagnostics discarded. It is lexed from a copy in the arena,
+        // which outlives a redefinition of the macro.
         const auto [expansion, fresh] = expansions.try_emplace(macro->first);
         if (fresh) {
           DiagnosticEngine discarded;
-          expansion->second = lex(macro->second, discarded).tokens;
+          Defines unused;
+          lex_into(arena.store(macro->second), discarded, expansion->second,
+                   unused, arena);
           expansion->second.pop_back();  // kEof
         }
         for (const Token& tok : expansion->second) {
-          out.tokens.push_back(tok);
-          out.tokens.back().line = line;
-          out.tokens.back().column = col;
+          tokens.push_back(tok);
+          tokens.back().line = line;
+          tokens.back().column = col;
         }
         continue;
       }
@@ -282,6 +334,7 @@ LexOutput lex(std::string_view source, DiagnosticEngine& diags) {
     // Numbers.
     if (std::isdigit(static_cast<unsigned char>(c)) ||
         (c == '.' && std::isdigit(static_cast<unsigned char>(cur.peek(1))))) {
+      const std::size_t start = cur.offset();
       std::string num;
       bool is_float = false;
       while (!cur.at_end()) {
@@ -308,75 +361,26 @@ LexOutput lex(std::string_view source, DiagnosticEngine& diags) {
           break;
         }
       }
+      // The spelling is a view of the source unless a suffix was dropped
+      // from its middle.
+      const std::string_view spelled = source.substr(start, num.size());
       push(is_float ? TokenKind::kFloatLiteral : TokenKind::kIntLiteral,
-           std::move(num), line, col);
+           spelled == num ? spelled : arena.store(num), line, col);
       continue;
     }
 
-    // String literal.
-    if (c == '"') {
+    // String and character literals.
+    if (c == '"' || c == '\'') {
       cur.advance();
-      std::string text;
       bool closed = false;
-      while (!cur.at_end()) {
-        const char d = cur.advance();
-        if (d == '\\' && !cur.at_end()) {
-          const char e = cur.advance();
-          switch (e) {
-            case 'n': text.push_back('\n'); break;
-            case 't': text.push_back('\t'); break;
-            case 'r': text.push_back('\r'); break;
-            case '0': text.push_back('\0'); break;
-            case '\\': text.push_back('\\'); break;
-            case '"': text.push_back('"'); break;
-            default: text.push_back(e); break;
-          }
-          continue;
-        }
-        if (d == '"') {
-          closed = true;
-          break;
-        }
-        if (d == '\n') break;
-        text.push_back(d);
-      }
+      const std::string_view text = read_literal(cur, c, arena, closed);
       if (!closed) {
         diags.error(DiagCode::kUnterminated, line, col,
-                    "unterminated string literal");
+                    c == '"' ? "unterminated string literal"
+                             : "unterminated character literal");
       }
-      push(TokenKind::kStringLiteral, std::move(text), line, col);
-      continue;
-    }
-
-    // Char literal.
-    if (c == '\'') {
-      cur.advance();
-      std::string text;
-      bool closed = false;
-      while (!cur.at_end()) {
-        const char d = cur.advance();
-        if (d == '\\' && !cur.at_end()) {
-          const char e = cur.advance();
-          switch (e) {
-            case 'n': text.push_back('\n'); break;
-            case 't': text.push_back('\t'); break;
-            case '0': text.push_back('\0'); break;
-            default: text.push_back(e); break;
-          }
-          continue;
-        }
-        if (d == '\'') {
-          closed = true;
-          break;
-        }
-        if (d == '\n') break;
-        text.push_back(d);
-      }
-      if (!closed) {
-        diags.error(DiagCode::kUnterminated, line, col,
-                    "unterminated character literal");
-      }
-      push(TokenKind::kCharLiteral, std::move(text), line, col);
+      push(c == '"' ? TokenKind::kStringLiteral : TokenKind::kCharLiteral,
+           text, line, col);
       continue;
     }
 
@@ -456,6 +460,44 @@ LexOutput lex(std::string_view source, DiagnosticEngine& diags) {
   }
 
   push(TokenKind::kEof, "", cur.line(), cur.column());
+}
+
+}  // namespace
+
+std::string_view SpellingArena::store(std::string_view text) {
+  std::copy(text.begin(), text.end(), reserve(text.size()));
+  return keep(text.size());
+}
+
+char* SpellingArena::reserve(std::size_t n) {
+  if (n > left_) {
+    const std::size_t size = std::max(n, kBlockBytes);
+    auto block = std::make_unique_for_overwrite<char[]>(size);
+    next_ = block.get();
+    if (first_ == nullptr) {
+      first_ = std::move(block);
+    } else {
+      more_.push_back(std::move(block));
+    }
+    left_ = size;
+  }
+  return next_;
+}
+
+std::string_view SpellingArena::keep(std::size_t used) {
+  const std::string_view kept(next_, used);
+  next_ += used;
+  left_ -= used;
+  return kept;
+}
+
+bool is_keyword(std::string_view word) noexcept {
+  return keyword_of(word) != Keyword::kNone;
+}
+
+LexOutput lex(std::string_view source, DiagnosticEngine& diags) {
+  LexOutput out;
+  lex_into(source, diags, out.tokens, out.defines, out.spellings);
   return out;
 }
 

@@ -349,7 +349,8 @@ class Parser {
         return at(std::move(stmt));
       }
       if (is_type_keyword(tok)) return parse_decl_statement();
-      error_here("unexpected keyword '" + tok.text + "' in statement");
+      error_here("unexpected keyword '" + std::string(tok.text) +
+                 "' in statement");
       throw ParseError{};
     }
     if (check(TokenKind::kRBrace)) {
@@ -613,7 +614,8 @@ class Parser {
         advance();
         auto expr = arena_->make<Expr>();
         expr->kind = ExprKind::kIntLit;
-        expr->int_value = std::strtol(tok.text.c_str(), nullptr, 0);
+        expr->int_value =
+            std::strtol(std::string(tok.text).c_str(), nullptr, 0);
         expr->line = tok.line;
         expr->column = tok.column;
         return expr;
@@ -622,7 +624,8 @@ class Parser {
         advance();
         auto expr = arena_->make<Expr>();
         expr->kind = ExprKind::kFloatLit;
-        expr->float_value = std::strtod(tok.text.c_str(), nullptr);
+        expr->float_value =
+            std::strtod(std::string(tok.text).c_str(), nullptr);
         expr->line = tok.line;
         expr->column = tok.column;
         return expr;
@@ -649,7 +652,8 @@ class Parser {
       }
       case TokenKind::kIdentifier: {
         advance();
-        return make_ident(*arena_, tok.text, tok.line, tok.column);
+        return make_ident(*arena_, std::string(tok.text), tok.line,
+                          tok.column);
       }
       case TokenKind::kKeyword: {
         if (tok.is(Keyword::kSizeof)) {
@@ -672,7 +676,8 @@ class Parser {
           return make_int_literal(*arena_, tok.is(Keyword::kTrue) ? 1 : 0,
                                   tok.line, tok.column);
         }
-        error_here("unexpected keyword '" + tok.text + "' in expression");
+        error_here("unexpected keyword '" + std::string(tok.text) +
+                   "' in expression");
         throw ParseError{};
       }
       case TokenKind::kLParen: {

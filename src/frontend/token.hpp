@@ -1,8 +1,7 @@
 #pragma once
 
 #include <cstdint>
-#include <string>
-#include <vector>
+#include <string_view>
 
 namespace llm4vv::frontend {
 
@@ -59,7 +58,10 @@ enum class Keyword : std::uint8_t {
 struct Token {
   TokenKind kind = TokenKind::kEof;
   Keyword keyword = Keyword::kNone;  ///< set on kKeyword tokens
-  std::string text;  ///< raw spelling (pragmas: the full directive line)
+  /// Spelling (pragmas: the full directive line; literals: the body with
+  /// escapes resolved), a view into the lexed source or into the
+  /// LexOutput's spellings; see lex().
+  std::string_view text;
   int line = 1;
   int column = 1;
 

@@ -2,19 +2,21 @@
 
 #include <algorithm>
 #include <cctype>
+#include <optional>
 
+#include "directive/code_facts.hpp"
 #include "directive/validator.hpp"
 #include "frontend/fortran.hpp"
 #include "frontend/lexer.hpp"
 #include "frontend/parser.hpp"
 #include "frontend/sema.hpp"
+#include "support/rng.hpp"
 #include "support/strings.hpp"
 
 namespace llm4vv::llm {
 
 namespace {
 
-using frontend::DiagCode;
 using frontend::Flavor;
 
 int parse_rc_after(const std::string& prompt, const std::string& marker) {
@@ -34,13 +36,6 @@ int parse_rc_after(const std::string& prompt, const std::string& marker) {
     ++i;
   }
   return negative ? -value : value;
-}
-
-bool looks_like_fortran(std::string_view code) {
-  return support::contains(code, "implicit none") ||
-         support::contains(code, "end program") ||
-         support::starts_with(support::trim(code), "program ") ||
-         support::starts_with(support::trim(code), "! ");
 }
 
 /// Calls `visit` with each line of `code`, trimmed of surrounding whitespace,
@@ -92,21 +87,12 @@ bool find_uninit_pointer(std::string_view code, bool fortran) {
   });
 }
 
-bool has_return_somewhere(const frontend::Stmt* stmt) {
-  if (stmt == nullptr) return false;
-  if (stmt->kind == frontend::StmtKind::kReturn) return true;
-  for (const auto& child : stmt->body) {
-    if (has_return_somewhere(child.get())) return true;
-  }
-  return has_return_somewhere(stmt->then_branch.get()) ||
-         has_return_somewhere(stmt->else_branch.get()) ||
-         has_return_somewhere(stmt->init_stmt.get());
-}
-
-}  // namespace
-
-void analyze_code(std::string_view code, Flavor flavor,
-                  PromptPerception& out) {
+/// Fills `out`'s code evidence from `code`. With `published`, the facts
+/// the compile stage published for these bytes are read instead of running
+/// the front-end again; a miss runs it.
+void read_code(std::string_view code, Flavor flavor,
+               const directive::CodeFactsMemo* published,
+               PromptPerception& out) {
   const bool fortran = looks_like_fortran(code);
 
   const bool has_any_directive =
@@ -116,64 +102,53 @@ void analyze_code(std::string_view code, Flavor flavor,
   out.no_directives = !has_any_directive;
   if (out.no_directives) return;  // nothing else matters for the verdict
 
-  frontend::DiagnosticEngine diags;
-  directive::DirectiveTable directives;
-  const frontend::ParserOptions popts = directive::parser_options(directives);
-  frontend::Program program;
-  if (fortran) {
-    program = frontend::parse_fortran(code, diags, popts);
-  } else {
-    const auto lexed = frontend::lex(code, diags);
-    program = frontend::parse(lexed.tokens, diags, popts);
+  std::optional<directive::CodeFacts> facts;
+  if (published != nullptr) {
+    facts = published->find(support::fnv1a64(code), code, fortran, flavor);
   }
-  const bool parse_broken = diags.has_errors();
-  if (!parse_broken) {
-    frontend::analyze(program, diags);
-    directive::ValidatorOptions vopts;
-    vopts.flavor = flavor;
-    vopts.supported_version = 99;  // the judge reads specs, not a compiler
-    directive::validate_program(program, vopts, diags, directives);
-  }
-
-  for (const auto& diag : diags.diagnostics()) {
-    if (diag.severity != frontend::Severity::kError) continue;
-    switch (diag.code) {
-      case DiagCode::kMismatchedBrace:
-      case DiagCode::kUnexpectedToken:
-      case DiagCode::kUnterminated:
-        out.brace_imbalance = true;
-        break;
-      case DiagCode::kUndeclaredIdentifier:
-        out.undeclared_identifier = true;
-        break;
-      case DiagCode::kBadDirective:
-      case DiagCode::kBadClause:
-        out.misspelled_directive = true;
-        break;
-      default:
-        break;
+  if (!facts) {
+    frontend::DiagnosticEngine diags;
+    directive::DirectiveTable directives;
+    const frontend::ParserOptions popts =
+        directive::parser_options(directives);
+    frontend::Program program;
+    if (fortran) {
+      program = frontend::parse_fortran(code, diags, popts);
+    } else {
+      const auto lexed = frontend::lex(code, diags);
+      program = frontend::parse(lexed.tokens, diags, popts);
     }
+    const bool parsed = !diags.has_errors();
+    if (parsed) frontend::analyze(program, diags);
+    facts = directive::read_code_facts(program, diags, parsed, directives,
+                                       flavor);
   }
+  out.brace_imbalance = facts->brace_imbalance;
+  out.undeclared_identifier = facts->undeclared_identifier;
+  out.misspelled_directive = facts->misspelled_directive;
+  out.missing_return = facts->missing_return;
 
   out.uninit_pointer = find_uninit_pointer(code, fortran);
-
-  if (!parse_broken) {
-    for (std::size_t i = 0; i < program.functions.size(); ++i) {
-      const auto& fn = program.functions[i];
-      if (fn.name == "main") continue;
-      if (fn.return_type.base == frontend::BaseType::kVoid) continue;
-      if (!has_return_somewhere(fn.body.get())) {
-        out.missing_return = true;
-        break;
-      }
-    }
-  }
 
   // Report/verify structure: V&V tests print both outcomes; a file missing
   // either looks truncated.
   const bool has_fail = support::icontains(code, "FAILED");
   const bool has_pass = support::icontains(code, "PASSED");
   out.logic_mismatch = !(has_fail && has_pass);
+}
+
+}  // namespace
+
+bool looks_like_fortran(std::string_view code) {
+  return support::contains(code, "implicit none") ||
+         support::contains(code, "end program") ||
+         support::starts_with(support::trim(code), "program ") ||
+         support::starts_with(support::trim(code), "! ");
+}
+
+void analyze_code(std::string_view code, Flavor flavor,
+                  PromptPerception& out) {
+  read_code(code, flavor, nullptr, out);
 }
 
 std::string_view prompt_code(std::string_view prompt) {
@@ -216,7 +191,8 @@ PromptPerception perceive(const std::string& prompt) {
     out.program_rc = parse_rc_after(prompt, "\nReturn code:");
   }
 
-  analyze_code(prompt_code(prompt), out.flavor, out);
+  read_code(prompt_code(prompt), out.flavor,
+            &directive::CodeFactsMemo::shared(), out);
   return out;
 }
 

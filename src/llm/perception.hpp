@@ -12,8 +12,10 @@ namespace llm4vv::llm {
 /// derived from the prompt text alone — the model never sees ground truth.
 /// The code-evidence flags come from running a real lexer / parser / sema /
 /// directive-validation pass over the code block embedded in the prompt
-/// (the machine analogue of the LLM "reading" the code); the profile then
-/// decides how reliably each piece of evidence is acted upon.
+/// (the machine analogue of the LLM "reading" the code), or from the facts
+/// the compile stage published for exactly those bytes
+/// (directive::CodeFactsMemo); the profile then decides how reliably each
+/// piece of evidence is acted upon.
 struct PromptPerception {
   PromptStyle style = PromptStyle::kDirectAnalysis;
   frontend::Flavor flavor = frontend::Flavor::kOpenACC;
@@ -43,11 +45,16 @@ struct PromptPerception {
 /// whole prompt when it has no "Here is the code" marker.
 std::string_view prompt_code(std::string_view prompt);
 
+/// True when perception reads `code` as Fortran rather than C.
+bool looks_like_fortran(std::string_view code);
+
 /// Parse a judge prompt (any of the Listings 1-4 shapes built by
 /// judge/prompt.cpp) into a PromptPerception.
 PromptPerception perceive(const std::string& prompt);
 
 /// Evidence extraction on a bare code string (exposed for unit tests).
+/// Unlike perceive(), it always runs the front-end: it never reads the
+/// code facts the compile stage published.
 void analyze_code(std::string_view code, frontend::Flavor flavor,
                   PromptPerception& out);
 

@@ -3,6 +3,7 @@
 #include <cstring>
 
 #include "cache/compile_cache.hpp"
+#include "directive/code_facts.hpp"
 #include "directive/validator.hpp"
 #include "frontend/fortran.hpp"
 #include "frontend/lexer.hpp"
@@ -42,9 +43,10 @@ std::string render_clang(const frontend::SourceFile& file,
          "\n";
 }
 
-/// The strictness quirk only applies to files that actually use directives:
-/// it models spotty *offload feature* support, so a plain C file (e.g. an
-/// issue-3 replacement) never trips it.
+/// True when the file uses a directive. The strictness quirk only applies
+/// to such files: it models spotty *offload feature* support, so a plain C
+/// file (e.g. an issue-3 replacement) never trips it. This is the same test
+/// the judge's perception makes before it parses a prompt's code.
 bool uses_quirky_feature(const std::string& content) {
   return content.find("#pragma acc") != std::string::npos ||
          content.find("#pragma omp") != std::string::npos ||
@@ -144,9 +146,22 @@ CompileResult CompilerDriver::compile_uncached(
     program = frontend::parse(lexed.tokens, diags, popts);
   }
 
-  if (!diags.has_errors()) {
-    frontend::analyze(program, diags);
+  const bool parsed = !diags.has_errors();
+  if (parsed) frontend::analyze(program, diags);
+
+  // The judge's perception reads the facts of this pass instead of running
+  // the front-end over the prompt's copy of the code. Files without a
+  // directive are never parsed by perception, so they are not published.
+  const bool has_directive = uses_quirky_feature(file.content);
+  if (has_directive) {
+    if (!content_hash) content_hash = support::fnv1a64(file.content);
+    directive::CodeFactsMemo::shared().publish(
+        *content_hash, file.content,
+        file.language == frontend::Language::kFortran, file.flavor,
+        directive::read_code_facts(program, diags, parsed, directives,
+                                   file.flavor));
   }
+
   if (!diags.has_errors()) {
     directive::ValidatorOptions vopts;
     vopts.flavor = config_.flavor;
@@ -157,8 +172,7 @@ CompileResult CompilerDriver::compile_uncached(
   // Persona strictness quirk on otherwise-valid files (deterministic by
   // content hash, so re-compiling a file gives the same answer).
   if (!diags.has_errors() && config_.strictness_reject_rate > 0.0 &&
-      uses_quirky_feature(file.content)) {
-    if (!content_hash) content_hash = support::fnv1a64(file.content);
+      has_directive) {
     support::Rng quirk(*content_hash ^ config_.quirk_seed);
     // Quirky features appear in most files, so rescale the per-file rate.
     if (quirk.chance(config_.strictness_reject_rate)) {

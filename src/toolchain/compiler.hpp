@@ -78,6 +78,10 @@ std::uint64_t file_identity_hash(const frontend::SourceFile& file) noexcept;
 /// The simulated compiler driver: lex -> parse -> sema -> directive
 /// validation -> lowering, with persona-styled diagnostics on stderr.
 ///
+/// Each front-end pass over a file with a directive also publishes the
+/// judge's code facts of that pass (directive::read_code_facts) to
+/// directive::CodeFactsMemo::shared(), so perception need not repeat it.
+///
 /// With a cache::CompileCache attached, byte-identical files skip the whole
 /// front-end: results are memoized on (content hash, driver fingerprint)
 /// and — when the cache is store-backed — survive across process runs.
@@ -88,7 +92,7 @@ class CompilerDriver {
                  std::shared_ptr<cache::CompileCache> cache);
 
   /// Compile one source file. Thread-safe (const; the only shared state is
-  /// the thread-safe compile cache).
+  /// the thread-safe compile cache and directive::CodeFactsMemo::shared()).
   CompileResult compile(const frontend::SourceFile& file) const;
 
   const CompilerConfig& config() const noexcept { return config_; }
@@ -103,7 +107,8 @@ class CompilerDriver {
 
  private:
   /// `content_hash` is fnv1a64(file.content) when the caller already has
-  /// it; otherwise it is computed only if the strictness quirk needs it.
+  /// it; otherwise it is computed only if the file has a directive (the
+  /// code-facts memo and the strictness quirk key on it).
   CompileResult compile_uncached(
       const frontend::SourceFile& file,
       std::optional<std::uint64_t> content_hash) const;

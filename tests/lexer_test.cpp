@@ -1,15 +1,33 @@
 #include <gtest/gtest.h>
 
+#include <memory>
+#include <string>
+#include <vector>
+
 #include "frontend/lexer.hpp"
 
 namespace llm4vv::frontend {
 namespace {
 
-LexOutput lex_ok(const std::string& source) {
+/// Token texts view the source they were lexed from, so the helper's
+/// result keeps its own copy of the source.
+struct Lexed : LexOutput {
+  std::unique_ptr<const std::string> source;
+};
+
+Lexed lex_ok(const std::string& source) {
+  Lexed out;
+  out.source = std::make_unique<const std::string>(source);
   DiagnosticEngine diags;
-  auto out = lex(source, diags);
+  static_cast<LexOutput&>(out) = lex(*out.source, diags);
   EXPECT_FALSE(diags.has_errors()) << source;
   return out;
+}
+
+/// True when `text` lies inside `source`.
+bool views(std::string_view source, std::string_view text) {
+  return text.data() >= source.data() &&
+         text.data() + text.size() <= source.data() + source.size();
 }
 
 TEST(LexerTest, EmptySourceYieldsEof) {
@@ -112,7 +130,7 @@ TEST(LexerTest, DefineWithExpressionBody) {
   const auto out = lex_ok("#define SZ 16 * 4\nint a = SZ;");
   // The substitution should produce 16, *, 4 tokens in place of SZ.
   std::vector<std::string> texts;
-  for (const auto& tok : out.tokens) texts.push_back(tok.text);
+  for (const auto& tok : out.tokens) texts.emplace_back(tok.text);
   EXPECT_NE(std::find(texts.begin(), texts.end(), "16"), texts.end());
   EXPECT_NE(std::find(texts.begin(), texts.end(), "4"), texts.end());
 }
@@ -135,7 +153,7 @@ TEST(LexerTest, RedefinedMacroTakesItsNewValueFromThatLine) {
 TEST(LexerTest, MultiTokenMacroBodyExpandsAtEveryUse) {
   const auto out = lex_ok("#define SZ (16 * 4)\nint a = SZ;\nb = SZ + SZ;");
   std::vector<std::string> texts;
-  for (const auto& tok : out.tokens) texts.push_back(tok.text);
+  for (const auto& tok : out.tokens) texts.emplace_back(tok.text);
   const std::vector<std::string> expected = {
       "int", "a", "=", "(", "16", "*", "4", ")", ";",
       "b", "=", "(", "16", "*", "4", ")", "+", "(", "16", "*", "4", ")",
@@ -156,6 +174,42 @@ TEST(LexerTest, MultiTokenMacroBodyExpandsAtEveryUse) {
   }
   EXPECT_EQ(out.tokens[4].kind, TokenKind::kIntLiteral);
   EXPECT_EQ(out.tokens[5].kind, TokenKind::kStar);
+}
+
+TEST(LexerTest, TextsViewTheSourceUnlessRewritten) {
+  const std::string source =
+      "int x = 10UL; float y = 1.5f; s = \"plain\"; t = \"a\\n\";\n"
+      "#pragma acc parallel \\\n  loop\n";
+  DiagnosticEngine diags;
+  LexOutput lexed = lex(source, diags);
+  // Moving the output keeps every view valid.
+  const LexOutput out = std::move(lexed);
+  ASSERT_FALSE(diags.has_errors());
+  std::vector<std::string> texts;
+  for (const auto& tok : out.tokens) texts.emplace_back(tok.text);
+  const std::vector<std::string> expected = {
+      "int", "x", "=", "10", ";", "float", "y", "=", "1.5", ";",
+      "s", "=", "plain", ";", "t", "=", "a\n", ";",
+      "#pragma acc parallel    loop", ""};
+  ASSERT_EQ(texts, expected);
+  for (const std::size_t i : {0, 1, 3, 8, 12}) {
+    EXPECT_TRUE(views(source, out.tokens[i].text)) << texts[i];
+  }
+  // The escaped literal and the folded pragma line are rewritten copies.
+  EXPECT_FALSE(views(source, out.tokens[16].text));
+  EXPECT_FALSE(views(source, out.tokens[18].text));
+}
+
+TEST(LexerTest, ExpansionsOutliveARedefinition) {
+  const auto out = lex_ok(
+      "#define MSG \"first\\n\"\nputs(MSG);\n#define MSG \"second\"\n"
+      "puts(MSG);");
+  std::vector<std::string> strings;
+  for (const auto& tok : out.tokens) {
+    if (tok.kind == TokenKind::kStringLiteral) strings.emplace_back(tok.text);
+  }
+  EXPECT_EQ(strings, (std::vector<std::string>{"first\n", "second"}));
+  EXPECT_EQ(out.defines.at("MSG"), "\"second\"");
 }
 
 TEST(LexerTest, MacroBodyDiagnosticsStayDiscarded) {
